@@ -28,10 +28,10 @@ cargo run --release -q -p iw-bench --bin tables -- t3 t4 a2 a7 d1 d2 d3 d4 >/dev
 # 8-core RI5CY target on Network A (--check exits non-zero otherwise).
 cargo run --release -q -p iw-bench --bin trace -- neta cl8 --check >/dev/null
 
-# Smoke: every registered target must be bit-identical on all three
-# interpreter paths (uncached reference, pre-decoded, block-compiled
-# superinstructions) on both evaluation networks — the semantic gate for
-# the block-cache layer, without Criterion's timing cost.
+# Smoke: every registered target must be bit-identical on both
+# interpreter paths (uncached reference and pre-decoded product path) on
+# both evaluation networks — the semantic gate for the decode caches,
+# without the bench's timing loops.
 cargo bench -q -p iw-bench --bench iss_bench -- --check >/dev/null
 
 # Smoke: the discrete-event fleet runner must produce bit-identical

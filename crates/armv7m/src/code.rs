@@ -708,7 +708,7 @@ impl DecodedProgram {
 mod tests {
     use super::*;
     use crate::asm::ThumbAsm;
-    use crate::cpu::CortexM4;
+    use crate::cpu::{CortexM4, M4Error, RunResult};
     use crate::timing::CortexM4Timing;
     use iw_rv32::Ram;
 
@@ -818,6 +818,152 @@ mod tests {
             ram_a.read_bytes(0x140, 4),
             "stored results must agree"
         );
+    }
+
+    /// Runs `program` pre-decoded and per-halfword (the reference),
+    /// asserts the result (or error), architectural state and memory
+    /// agree, and returns the pre-decoded core.
+    fn assert_predecoded_matches_reference(
+        program: &[ThumbInstr],
+        max_cycles: u64,
+        setup: impl Fn(&mut CortexM4, &mut Ram),
+    ) -> CortexM4 {
+        // A fault's pc is in each path's own address space (instruction
+        // index vs halfword offset), so faults compare by kind and address.
+        fn outcome(res: Result<RunResult, M4Error>) -> Result<RunResult, String> {
+            res.map_err(|e| match e {
+                M4Error::Misaligned { addr, .. } => format!("misaligned {addr:#x}"),
+                e => e.to_string(),
+            })
+        }
+        let code = encode_program(program).unwrap();
+        let t = CortexM4Timing::default();
+        let mut ram_a = Ram::new(0, 4096);
+        let mut ref_cpu = CortexM4::new();
+        setup(&mut ref_cpu, &mut ram_a);
+        let ref_res = ref_cpu.run_code(&code, &mut ram_a, &t, max_cycles);
+
+        let mut ram_b = Ram::new(0, 4096);
+        let mut cpu = CortexM4::new();
+        setup(&mut cpu, &mut ram_b);
+        let res = cpu.run(program, &mut ram_b, &t, max_cycles);
+
+        let ctx = format!("max_cycles = {max_cycles}");
+        assert_eq!(outcome(res), outcome(ref_res), "{ctx}");
+        assert_eq!(cpu.is_halted(), ref_cpu.is_halted(), "{ctx}");
+        assert_eq!(cpu.retired(), ref_cpu.retired(), "{ctx}");
+        assert_eq!(cpu.flags(), ref_cpu.flags(), "{ctx}");
+        assert_eq!(cpu.profile(), ref_cpu.profile(), "{ctx}");
+        for i in 0..15u8 {
+            assert_eq!(cpu.reg(R::new(i)), ref_cpu.reg(R::new(i)), "{ctx}: r{i}");
+        }
+        for i in 0..32u8 {
+            assert_eq!(
+                cpu.sreg(S::new(i)).to_bits(),
+                ref_cpu.sreg(S::new(i)).to_bits(),
+                "{ctx}: s{i}"
+            );
+        }
+        assert_eq!(
+            ram_b.read_bytes(0, 4096),
+            ram_a.read_bytes(0, 4096),
+            "{ctx}"
+        );
+        cpu
+    }
+
+    fn fill_q15(_: &mut CortexM4, ram: &mut Ram) {
+        for i in 0..8u32 {
+            let a = (i & 0xffff) | ((i + 1) << 16);
+            ram.write_bytes(0x100 + 4 * i, &a.to_le_bytes());
+            ram.write_bytes(0x200 + 4 * i, &(2u32 | (3 << 16)).to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn q15_dot_loop_matches_reference_at_every_cycle_limit() {
+        // The q15 MAC body (ldr/ldr/smlad, subs/b back-edge) and the
+        // mul/asr/add requantisation tail of the generated kernels.
+        let mut asm = ThumbAsm::new();
+        asm.li(R::R0, 0x100);
+        asm.li(R::R1, 0x200);
+        asm.li(R::R2, 8); // packed-pair count
+        asm.li(R::R3, 0); // acc
+        let top = asm.here();
+        asm.ldr_post(LsWidth::W, R::R4, R::R0, 4);
+        asm.ldr_post(LsWidth::W, R::R5, R::R1, 4);
+        asm.emit(ThumbInstr::Smlad {
+            rd: R::R3,
+            rn: R::R4,
+            rm: R::R5,
+            ra: R::R3,
+        });
+        asm.subs(R::R2, R::R2, 1);
+        asm.b_to(Cond::Ne, top);
+        asm.li(R::R6, 3);
+        asm.li(R::R7, 100);
+        asm.mul(R::R3, R::R3, R::R6);
+        asm.asr_imm(R::R3, R::R3, 7);
+        asm.dp(DpOp::Add, R::R3, R::R3, R::R7);
+        asm.bkpt();
+        let program = asm.finish().unwrap();
+        for limit in (1..120).chain([1_000_000]) {
+            assert_predecoded_matches_reference(&program, limit, fill_q15);
+        }
+    }
+
+    #[test]
+    fn f32_mac_loop_matches_reference() {
+        // The float kernel's MAC body: vldr/vldr/vmla with a subs/b
+        // back-edge.
+        let mut asm = ThumbAsm::new();
+        asm.li(R::R0, 0x100);
+        asm.li(R::R1, 0x200);
+        asm.li(R::R2, 6);
+        let top = asm.here();
+        for (sd, rn) in [(0, R::R0), (1, R::R1)] {
+            asm.emit(ThumbInstr::VldrPost {
+                sd: S::new(sd),
+                rn,
+                offset: 4,
+            });
+        }
+        asm.emit(ThumbInstr::Vmla {
+            sd: S::new(2),
+            sn: S::new(0),
+            sm: S::new(1),
+        });
+        asm.subs(R::R2, R::R2, 1);
+        asm.b_to(Cond::Ne, top);
+        asm.bkpt();
+        let program = asm.finish().unwrap();
+        let cpu = assert_predecoded_matches_reference(&program, 1_000_000, |_, ram| {
+            for i in 0..6u32 {
+                let a = (i as f32) * 0.5 + 1.0;
+                ram.write_bytes(0x100 + 4 * i, &a.to_bits().to_le_bytes());
+                ram.write_bytes(0x200 + 4 * i, &2.0f32.to_bits().to_le_bytes());
+            }
+        });
+        assert!(cpu.is_halted());
+        assert_eq!(cpu.sreg(S::new(2)), 27.0);
+    }
+
+    #[test]
+    fn load_fault_matches_reference() {
+        // The second post-increment load is misaligned: the first load's
+        // writeback stays applied on both paths.
+        let mut asm = ThumbAsm::new();
+        asm.ldr_post(LsWidth::W, R::R4, R::R0, 4);
+        asm.ldr_post(LsWidth::W, R::R5, R::R1, 4);
+        asm.bkpt();
+        let program = asm.finish().unwrap();
+        let cpu = assert_predecoded_matches_reference(&program, 1_000_000, |cpu, ram| {
+            fill_q15(cpu, ram);
+            cpu.set_reg(R::R0, 0x100);
+            cpu.set_reg(R::R1, 0x201);
+        });
+        assert!(!cpu.is_halted());
+        assert_eq!(cpu.reg(R::R0), 0x104);
     }
 
     #[test]

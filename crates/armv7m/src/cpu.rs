@@ -90,7 +90,7 @@ pub struct Flags {
 }
 
 impl Flags {
-    pub(crate) fn from_sub(a: u32, b: u32) -> Flags {
+    fn from_sub(a: u32, b: u32) -> Flags {
         let r = a.wrapping_sub(b);
         Flags {
             n: (r as i32) < 0,
@@ -152,15 +152,15 @@ pub struct RunResult {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CortexM4 {
-    pub(crate) r: [u32; 15],
-    pub(crate) s: [u32; 32],
-    pub(crate) flags: Flags,
-    pub(crate) fpscr: Flags,
-    pub(crate) pc: usize,
-    pub(crate) halted: bool,
-    pub(crate) retired: u64,
-    pub(crate) last_was_load: bool,
-    pub(crate) profile: ExecProfile,
+    r: [u32; 15],
+    s: [u32; 32],
+    flags: Flags,
+    fpscr: Flags,
+    pc: usize,
+    halted: bool,
+    retired: u64,
+    last_was_load: bool,
+    profile: ExecProfile,
 }
 
 impl Default for CortexM4 {

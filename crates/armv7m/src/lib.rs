@@ -59,13 +59,11 @@
 #![warn(missing_docs)]
 
 pub mod asm;
-mod block;
 pub mod code;
 mod cpu;
 mod instr;
 mod timing;
 
-pub use block::{BlockProgram, FusedStats};
 pub use code::{decode_at, encode_program, CodeError, DecodedProgram, EncodeError};
 pub use cpu::{CortexM4, Flags, M4Error, RunResult};
 pub use instr::{AddrMode, Cond, DpOp, LsWidth, ThumbInstr, R, S};

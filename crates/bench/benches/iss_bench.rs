@@ -1,17 +1,15 @@
 //! ISS-throughput bench: simulated instructions per second on the
-//! block-compiled (superinstruction), pre-decoded (product) and uncached
-//! (reference) paths, on both evaluation networks and all four paper
-//! targets.
+//! pre-decoded (product) and uncached (reference) paths, on both
+//! evaluation networks and all four paper targets.
 //!
-//! The three paths are timed **interleaved** — one sample of each per
-//! round — so the reported ratios are within-run and immune to clock
-//! drift. Results land in `BENCH_iss.json` at the repo root: per-target
-//! simulated Minstr/s for every path, the block-cache hit rate, and the
-//! mean superinstruction burst length. EXPERIMENTS.md records the derived
-//! table (the acceptance bar is ≥1.3× blocks-over-predecoded on the
-//! single-RI5CY and M4 Network-B rows).
+//! The two paths are timed **interleaved** — one sample of each per
+//! round, best of five rounds kept — so the reported ratio is within-run
+//! and immune to clock drift. Results land in `BENCH_iss.json` at the
+//! repo root: per-target simulated Minstr/s for both paths, the
+//! predecoded-over-uncached speedup and, on the cluster-scheduled rows,
+//! the pre-decoded scheduler's picks, gated breaks and burst length.
 //!
-//! `--check` skips all timing and instead asserts that the three paths
+//! `--check` skips all timing and instead asserts that the two paths
 //! are bit-identical for every registry target on both networks — the
 //! fast identity smoke ci.sh runs:
 //!
@@ -22,7 +20,7 @@
 use std::time::Instant;
 
 use iw_bench::evaluation_nets;
-use iw_kernels::{registry, FixedTarget, PreparedFixed};
+use iw_kernels::{registry, FixedTarget, PreparedFixed, SchedSummary};
 use iw_metrics::Registry;
 
 /// Rounds of interleaved timing per (network, target) row.
@@ -37,7 +35,7 @@ fn main() {
 }
 
 /// Identity smoke: every registered target must produce bit-identical
-/// runs on all three interpreter paths, for both evaluation networks.
+/// runs on both interpreter paths, for both evaluation networks.
 /// No timing loops — this is the ci.sh gate.
 fn check() {
     let mut rows = 0;
@@ -46,23 +44,16 @@ fn check() {
             let prep = PreparedFixed::on(&*entry.machine(), &fixed, &qin).expect("deploys");
             let fast = prep.run().expect("cached path runs");
             let reference = prep.run_uncached().expect("reference path runs");
-            let blocks = prep.run_blocks().expect("blocks path runs");
             assert_eq!(
                 fast,
                 reference,
                 "{name}/{id}: cached vs reference",
                 id = entry.id
             );
-            assert_eq!(
-                blocks,
-                reference,
-                "{name}/{id}: blocks vs reference",
-                id = entry.id
-            );
             rows += 1;
         }
     }
-    println!("iss_bench --check: {rows} target×network rows bit-identical on all three paths");
+    println!("iss_bench --check: {rows} target×network rows bit-identical on both paths");
 }
 
 /// One timed sample: wall-clock seconds of a single simulated
@@ -78,15 +69,9 @@ struct RowResult {
     instructions: u64,
     uncached_s: f64,
     predecoded_s: f64,
-    blocks_s: f64,
-    hit_rate: f64,
-    avg_burst: f64,
-    dispatches: u64,
-    gated_breaks: u64,
-    /// Pre-decoded-path scheduler picks and burst, on targets with an
-    /// event-driven scheduler (the Mr. Wolf rows) — the baseline the
-    /// block path's burst is compared against.
-    decoded: Option<(u64, f64)>,
+    /// Pre-decoded-path scheduler statistics, on targets with an
+    /// event-driven scheduler (the RI5CY rows).
+    sched: Option<SchedSummary>,
 }
 
 impl RowResult {
@@ -99,66 +84,52 @@ fn bench() {
     let mut out = String::from("{\n  \"workloads\": [\n");
     // Machine-readable mirror of the throughput table, in the same
     // sample schema the fleet `--metrics` exporter emits — one gauge
-    // per (network, target, path) plus the block-cache statistics.
+    // per (network, target, path).
     let reg = Registry::new();
     let nets = evaluation_nets();
     for (ni, (name, _, fixed, qin)) in nets.iter().enumerate() {
         println!("== iss_throughput/{name} ==");
         let mut rows: Vec<RowResult> = Vec::new();
         for target in FixedTarget::paper_targets() {
-            // Deployment (kernel emission, assembly, block compilation,
-            // weight image) happens once, outside the timed region: the
-            // bench measures simulator throughput, not code generation.
+            // Deployment (kernel emission, assembly, weight image)
+            // happens once, outside the timed region: the bench measures
+            // simulator throughput, not code generation.
             let prep = PreparedFixed::new(target, fixed, qin).expect("deploys");
             let reference = prep.run_uncached().expect("target runs");
-            let fast = prep.run().expect("target runs");
-            let (blocks, stats) = prep.run_blocks_stats().expect("target runs");
+            let (fast, sched) = prep.run_decoded_stats().expect("target runs");
             assert_eq!(fast, reference, "cached path must be bit-identical");
-            assert_eq!(blocks, reference, "blocks path must be bit-identical");
 
             // Interleaved best-of-N: one sample of each path per round.
-            let (mut u, mut p, mut b) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+            let (mut u, mut p) = (f64::INFINITY, f64::INFINITY);
             for _ in 0..ROUNDS {
                 u = u.min(sample(|| prep.run_uncached().expect("runs")));
                 p = p.min(sample(|| prep.run().expect("runs")));
-                b = b.min(sample(|| prep.run_blocks().expect("runs")));
             }
-            let stats = stats.expect("paper targets collect block stats");
-            let (_, decoded) = prep.run_decoded_stats().expect("target runs");
             let row = RowResult {
                 target: target.name(),
                 instructions: reference.instructions,
                 uncached_s: u,
                 predecoded_s: p,
-                blocks_s: b,
-                hit_rate: stats.hit_rate,
-                avg_burst: stats.avg_burst,
-                dispatches: stats.dispatches,
-                gated_breaks: stats.gated_breaks,
-                decoded: decoded.map(|d| (d.picks, d.avg_burst)),
+                sched,
             };
             println!(
-                "{target:<20} instrs={instructions:>9}  uncached={um:>7.2}  predecoded={pm:>7.2}  \
-                 blocks={bm:>7.2} Minstr/s  blocks/predecoded={r:.2}x  hit={hit:.3}  burst={burst:.2}",
+                "{target:<20} instrs={instructions:>9}  uncached={um:>7.2}  predecoded={pm:>7.2} \
+                 Minstr/s  predecoded/uncached={r:.2}x",
                 target = row.target,
                 instructions = row.instructions,
                 um = row.minstr(u),
                 pm = row.minstr(p),
-                bm = row.minstr(b),
-                r = p / b,
-                hit = row.hit_rate,
-                burst = row.avg_burst,
+                r = u / p,
             );
-            if let Some((picks, burst)) = row.decoded {
+            if let Some(s) = row.sched {
                 println!(
-                    "{:<20} sched: decoded burst={burst:.4} ({picks} picks) -> blocks burst={:.4} ({} picks)",
-                    "", row.avg_burst, row.dispatches,
+                    "{:<20} sched: burst={:.4} ({} picks, {} gated breaks)",
+                    "", s.avg_burst, s.picks, s.gated_breaks,
                 );
             }
             for (path, seconds) in [
                 ("uncached", row.uncached_s),
                 ("predecoded", row.predecoded_s),
-                ("blocks", row.blocks_s),
             ] {
                 reg.gauge(
                     "iss_minstr_per_s",
@@ -169,8 +140,6 @@ fn bench() {
             let labels = [("network", name.as_str()), ("target", row.target.as_str())];
             reg.counter("iss_instructions", &labels)
                 .add(row.instructions);
-            reg.gauge("iss_block_hit_rate", &labels).set(row.hit_rate);
-            reg.gauge("iss_block_avg_burst", &labels).set(row.avg_burst);
             rows.push(row);
         }
 
@@ -179,24 +148,19 @@ fn bench() {
             json_str(name)
         ));
         for (ri, row) in rows.iter().enumerate() {
-            let decoded = row.decoded.map_or(String::new(), |(picks, burst)| {
+            let sched = row.sched.map_or(String::new(), |s| {
                 format!(
-                    ",\n          \"decoded_picks\": {picks},\n          \"decoded_avg_burst\": {burst:.4}"
+                    ",\n          \"decoded_picks\": {},\n          \"decoded_gated_breaks\": {},\n          \"decoded_avg_burst\": {:.4}",
+                    s.picks, s.gated_breaks, s.avg_burst
                 )
             });
             out.push_str(&format!(
-                "        {{\n          \"target\": {target},\n          \"instructions\": {instructions},\n          \"minstr_per_s\": {{\"uncached\": {um:.3}, \"predecoded\": {pm:.3}, \"blocks\": {bm:.3}}},\n          \"speedup_blocks_vs_predecoded\": {sp:.3},\n          \"speedup_blocks_vs_uncached\": {su:.3},\n          \"block_hit_rate\": {hit:.4},\n          \"block_avg_burst\": {burst:.4},\n          \"block_dispatches\": {dispatches},\n          \"block_gated_breaks\": {gated}{decoded}\n        }}{comma}\n",
+                "        {{\n          \"target\": {target},\n          \"instructions\": {instructions},\n          \"minstr_per_s\": {{\"uncached\": {um:.3}, \"predecoded\": {pm:.3}}},\n          \"speedup_predecoded_vs_uncached\": {sp:.3}{sched}\n        }}{comma}\n",
                 target = json_str(&row.target),
                 instructions = row.instructions,
                 um = row.minstr(row.uncached_s),
                 pm = row.minstr(row.predecoded_s),
-                bm = row.minstr(row.blocks_s),
-                sp = row.predecoded_s / row.blocks_s,
-                su = row.uncached_s / row.blocks_s,
-                hit = row.hit_rate,
-                burst = row.avg_burst,
-                dispatches = row.dispatches,
-                gated = row.gated_breaks,
+                sp = row.uncached_s / row.predecoded_s,
                 comma = if ri + 1 < rows.len() { "," } else { "" },
             ));
         }

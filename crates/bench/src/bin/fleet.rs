@@ -105,7 +105,7 @@ fn parse_args() -> Result<Args, String> {
         };
         match flag.as_str() {
             "--devices" => args.devices = value("--devices")? as usize,
-            "--threads" => args.threads = (value("--threads")? as usize).max(1),
+            "--threads" => args.threads = value("--threads")? as usize,
             "--seed" => args.seed = value("--seed")?,
             "--workers" => args.workers = value("--workers")? as usize,
             "--sample" => args.sample = value("--sample")? as usize,
@@ -147,6 +147,13 @@ fn parse_args() -> Result<Args, String> {
                 ))
             }
         }
+    }
+    // A zero-device fleet would fold the empty digest and report success.
+    if args.devices == 0 {
+        return Err("--devices must be at least 1".into());
+    }
+    if args.threads == 0 {
+        return Err("--threads must be at least 1".into());
     }
     Ok(args)
 }

@@ -95,58 +95,15 @@ fn main() {
         let u = time(&format!("{name}: uncached run"), instructions, || {
             prep.run_uncached().expect("runs")
         });
-        let b = time(&format!("{name}: block-compiled run"), instructions, || {
-            prep.run_blocks().expect("runs")
-        });
         println!(
-            "{name:<44} blocks {:.2}x over predecoded, {:.2}x over uncached ({instructions} instrs)",
-            c / b,
-            u / b
+            "{name:<44} predecoded {:.2}x over uncached ({instructions} instrs)",
+            u / c
         );
-        print_block_stats(&prep);
-    }
-}
-
-/// Block-level report for one target: compilation and fusion-site counts
-/// per pattern, dispatch-loop exit reasons, and (on the cluster) how many
-/// bursts the lockstep runner-up gate cut short.
-fn print_block_stats(prep: &PreparedFixed) {
-    let Ok((_, Some(s))) = prep.run_blocks_stats() else {
-        return;
-    };
-    println!(
-        "  blocks: compiled={} hit_rate={:.4} dispatches={} avg_burst={:.2} fused_execs={} gated_breaks={}",
-        s.compiled, s.hit_rate, s.dispatches, s.avg_burst, s.fused, s.gated_breaks
-    );
-    if let Ok((_, Some(d))) = prep.run_decoded_stats() {
-        println!(
-            "  decoded: picks={} avg_burst={:.3} gated_breaks={} (block picks={} avg_burst={:.3})",
-            d.picks, d.avg_burst, d.gated_breaks, s.dispatches, s.avg_burst
-        );
-    }
-    if let Some(r) = s.rv32 {
-        println!(
-            "  fusion sites: lp+lp+sdotsp={} lp+lp={} lp+sdotsp={} lp+mac={} mul+srai+add={} addi+branch={}",
-            r.fused_lp_lp_sdotsp,
-            r.fused_lp_lp,
-            r.fused_lp_sdotsp,
-            r.fused_lp_mac,
-            r.fused_mul_srai_add,
-            r.fused_addi_branch
-        );
-        println!(
-            "  dispatch exits: fallthrough={} redirect={} halt={} smc={} fallback_steps={} demotions={}",
-            r.exit_fallthrough, r.exit_redirect, r.exit_halt, r.exit_smc, r.fallback_steps, r.demotions
-        );
-    }
-    if let Some(m) = s.m4 {
-        println!(
-            "  fused execs: vldr+vldr+vmla={} ldr+ldr+smlad={} ldr+ldr={} mul+asr+add={} subs+b={}",
-            m.fused_vldr_vldr_vmla,
-            m.fused_ldr_ldr_smlad,
-            m.fused_ldr_ldr,
-            m.fused_mul_asr_add,
-            m.fused_subs_b
-        );
+        if let Ok((_, Some(d))) = prep.run_decoded_stats() {
+            println!(
+                "  sched: picks={} avg_burst={:.3} gated_breaks={}",
+                d.picks, d.avg_burst, d.gated_breaks
+            );
+        }
     }
 }

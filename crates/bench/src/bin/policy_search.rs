@@ -47,8 +47,8 @@ fn parse_args() -> Result<Args, String> {
                 .map_err(|e| format!("bad {name}: {e}"))
         };
         match flag.as_str() {
-            "--devices" => args.devices = (value("--devices")? as usize).max(1),
-            "--threads" => args.threads = (value("--threads")? as usize).max(1),
+            "--devices" => args.devices = value("--devices")? as usize,
+            "--threads" => args.threads = value("--threads")? as usize,
             "--seed" => args.seed = value("--seed")?,
             "--candidates" => args.candidates = value("--candidates")? as usize,
             "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
@@ -61,6 +61,12 @@ fn parse_args() -> Result<Args, String> {
                 ))
             }
         }
+    }
+    if args.devices == 0 {
+        return Err("--devices must be at least 1".into());
+    }
+    if args.threads == 0 {
+        return Err("--threads must be at least 1".into());
     }
     if args.candidates > 0 && args.candidates < 3 {
         return Err("--candidates must be >= 3 (the baselines always run)".into());

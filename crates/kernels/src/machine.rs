@@ -12,11 +12,10 @@
 //! Deployment::run(ExecPath) -> MachineRun       (stage memories, run-to-halt)
 //! ```
 //!
-//! All three execution paths are first-class: [`ExecPath::Cached`] is the
+//! Every target has two execution paths: [`ExecPath::Cached`] is the
 //! pre-decoded/batched product path, [`ExecPath::Reference`] the frozen
-//! per-instruction interpreter, [`ExecPath::Blocks`] the block-compiled
-//! superinstruction path — and all are bit- and cycle-identical by the
-//! conformance tests.
+//! per-instruction interpreter it is checked against. The two are bit-
+//! and cycle-identical by the conformance tests.
 //!
 //! The target list itself is data: [`registry`] returns one row per
 //! registered backend (the four paper columns, the A2 Xpulp ablation
@@ -136,7 +135,7 @@ impl From<M4Error> for MachineError {
     }
 }
 
-/// Which interpreter path a run uses. All are bit- and cycle-identical;
+/// Which interpreter path a run uses. Both are bit- and cycle-identical;
 /// only the simulator's wall-clock speed differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPath {
@@ -146,42 +145,11 @@ pub enum ExecPath {
     /// The frozen reference path: fetch and decode every dynamic
     /// instruction, no batching.
     Reference,
-    /// The block-compiled superinstruction path: basic-block caches with
-    /// macro-op fusion on the RISC-V side, fusion-compiled programs on
-    /// the M4 (see `iw_rv32::BlockCache` / `iw_armv7m::BlockProgram`).
-    Blocks,
-}
-
-/// Block-path execution statistics of one [`ExecPath::Blocks`] run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BlockRunStats {
-    /// Block-cache hit rate (1.0 on the M4, whose program is compiled
-    /// once up front and never invalidated).
-    pub hit_rate: f64,
-    /// Mean instructions retired per dispatch-loop iteration.
-    pub avg_burst: f64,
-    /// Fused superinstructions executed during the run.
-    pub fused: u64,
-    /// Basic blocks (RISC-V) or fusion sites (M4) compiled.
-    pub compiled: u64,
-    /// Dispatch decisions: scheduler picks on the Mr. Wolf cluster,
-    /// dispatch-loop iterations elsewhere.
-    pub dispatches: u64,
-    /// Cluster bursts cut short by the lockstep runner-up gate (see
-    /// [`iw_mrwolf::SchedStats::gated_breaks`]); 0 on single-core
-    /// targets.
-    pub gated_breaks: u64,
-    /// Full RISC-V block-cache counters (per-pattern fusion sites,
-    /// dispatch-loop exits), when the target ran on one.
-    pub rv32: Option<iw_rv32::BlockStats>,
-    /// Full M4 fusion counters (per-pattern executed superinstructions),
-    /// when the target was the Cortex-M4.
-    pub m4: Option<iw_armv7m::FusedStats>,
 }
 
 /// Scheduler statistics of one pre-decoded ([`ExecPath::Cached`]) run on
-/// an event-driven multi-core backend — the baseline the block path's
-/// [`BlockRunStats::avg_burst`] is compared against.
+/// an event-driven multi-core backend: how many arbitration decisions the
+/// horizon-burst scheduler made and how long its bursts ran.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedSummary {
     /// Scheduler picks (arbitration decisions).
@@ -362,17 +330,6 @@ pub trait Deployment {
         self.run(ExecPath::Cached)
     }
 
-    /// [`Deployment::run`] on [`ExecPath::Blocks`], additionally
-    /// returning block-path statistics when the backend collects them.
-    /// The default implementation runs the blocks path without statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`MachineError`].
-    fn run_blocks_stats(&self) -> Result<(MachineRun, Option<BlockRunStats>), MachineError> {
-        Ok((self.run(ExecPath::Blocks)?, None))
-    }
-
     /// [`Deployment::run`] on [`ExecPath::Cached`], additionally
     /// returning scheduler statistics when the backend has an
     /// event-driven scheduler (the Mr. Wolf cluster). The default
@@ -445,10 +402,8 @@ impl Machine for M4Machine {
                 isa: "thumb2",
             });
         };
-        let fused = iw_armv7m::BlockProgram::compile(&program);
         Ok(Box::new(M4Deployment {
             program,
-            fused,
             code,
             symbols,
             image: workload.image(&layout),
@@ -459,7 +414,6 @@ impl Machine for M4Machine {
 
 struct M4Deployment {
     program: Vec<ThumbInstr>,
-    fused: iw_armv7m::BlockProgram,
     code: Vec<u16>,
     symbols: Vec<(u32, String)>,
     image: Vec<(u32, Vec<u8>)>,
@@ -513,25 +467,7 @@ impl Deployment for M4Deployment {
                 let run = soc.run_code(&self.code, MAX_CYCLES)?;
                 Ok(self.machine_run(&soc, run))
             }
-            ExecPath::Blocks => Ok(self.run_blocks_stats()?.0),
         }
-    }
-
-    fn run_blocks_stats(&self) -> Result<(MachineRun, Option<BlockRunStats>), MachineError> {
-        let mut soc = self.staged_soc();
-        let mut stats = iw_armv7m::FusedStats::default();
-        let run = soc.run_blocks(&self.fused, MAX_CYCLES, &mut stats)?;
-        let block = BlockRunStats {
-            hit_rate: 1.0,
-            avg_burst: stats.avg_burst(),
-            fused: stats.fused_total(),
-            compiled: self.fused.fused_sites() as u64,
-            dispatches: stats.dispatches,
-            gated_breaks: 0,
-            rv32: None,
-            m4: Some(stats),
-        };
-        Ok((self.machine_run(&soc, run), Some(block)))
     }
 
     fn run_recorded(&self, rec: &mut Recorder) -> Result<MachineRun, MachineError> {
@@ -769,10 +705,6 @@ impl WolfDeployment {
                 decode_cache: false,
                 ..self.cfg
             },
-            ExecPath::Blocks => ClusterConfig {
-                block_fusion: true,
-                ..self.cfg
-            },
         };
         let mut wolf = self.staged_wolf(cfg);
         let (cycles, instructions, cluster, profile) = if self.on_fc {
@@ -782,7 +714,6 @@ impl WolfDeployment {
                     wolf.run_fc_sink(L2_BASE, MAX_CYCLES, true, sink, track)?
                 }
                 ExecPath::Reference => wolf.run_fc_uncached(L2_BASE, MAX_CYCLES)?,
-                ExecPath::Blocks => wolf.run_fc_blocks(L2_BASE, MAX_CYCLES)?.0,
             };
             (
                 run.result.cycles,
@@ -802,62 +733,6 @@ impl WolfDeployment {
 impl Deployment for WolfDeployment {
     fn run(&self, path: ExecPath) -> Result<MachineRun, MachineError> {
         self.run_sinked(path, &mut NoopSink)
-    }
-
-    fn run_blocks_stats(&self) -> Result<(MachineRun, Option<BlockRunStats>), MachineError> {
-        let cfg = ClusterConfig {
-            block_fusion: true,
-            ..self.cfg
-        };
-        let mut wolf = self.staged_wolf(cfg);
-        if self.on_fc {
-            let (run, stats) = wolf.run_fc_blocks(L2_BASE, MAX_CYCLES)?;
-            let dispatches = stats.hits + stats.misses + stats.fallback_steps;
-            let block = BlockRunStats {
-                hit_rate: stats.hit_rate(),
-                avg_burst: if dispatches == 0 {
-                    1.0
-                } else {
-                    run.result.instructions as f64 / dispatches as f64
-                },
-                fused: stats.fused_total(),
-                compiled: stats.blocks_compiled,
-                dispatches,
-                gated_breaks: 0,
-                rv32: Some(stats),
-                m4: None,
-            };
-            let mr = self.machine_run(
-                &wolf,
-                run.result.cycles,
-                run.result.instructions,
-                None,
-                run.profile,
-            );
-            Ok((mr, Some(block)))
-        } else {
-            let (run, sched) = wolf.run_cluster_stats(L2_BASE, MAX_CYCLES)?;
-            let stats = sched.block.unwrap_or_default();
-            let block = BlockRunStats {
-                hit_rate: stats.hit_rate(),
-                avg_burst: sched.avg_burst(),
-                fused: stats.fused_total(),
-                compiled: stats.blocks_compiled,
-                dispatches: sched.picks,
-                gated_breaks: sched.gated_breaks,
-                rv32: sched.block,
-                m4: None,
-            };
-            let profile = run.profile;
-            let mr = self.machine_run(
-                &wolf,
-                run.cycles,
-                run.instructions,
-                Some(run.clone()),
-                profile,
-            );
-            Ok((mr, Some(block)))
-        }
     }
 
     fn run_decoded_stats(&self) -> Result<(MachineRun, Option<SchedSummary>), MachineError> {

@@ -264,39 +264,8 @@ impl PreparedFixed {
         ))
     }
 
-    /// Simulates one classification through the block-compiled
-    /// superinstruction path (basic-block caches with macro-op fusion on
-    /// the RISC-V targets, a fusion-compiled program on the M4). Bit- and
-    /// cycle-identical to [`PreparedFixed::run`] — the fast side of the
-    /// ISS-throughput bench.
-    ///
-    /// # Errors
-    ///
-    /// See [`KernelError`].
-    pub fn run_blocks(&self) -> Result<FixedRun, KernelError> {
-        Ok(FixedRun::from_machine(
-            self.deployment.run(ExecPath::Blocks)?,
-        ))
-    }
-
-    /// [`PreparedFixed::run_blocks`] plus the block-path statistics the
-    /// backend collected (hit rate, burst length, fusion counts), when
-    /// available.
-    ///
-    /// # Errors
-    ///
-    /// See [`KernelError`].
-    pub fn run_blocks_stats(
-        &self,
-    ) -> Result<(FixedRun, Option<crate::machine::BlockRunStats>), KernelError> {
-        let (run, stats) = self.deployment.run_blocks_stats()?;
-        Ok((FixedRun::from_machine(run), stats))
-    }
-
     /// [`PreparedFixed::run`] plus the scheduler statistics the backend
-    /// collected (picks, gate breaks, burst length), when available —
-    /// the pre-decoded baseline the block path's burst is compared
-    /// against.
+    /// collected (picks, gate breaks, burst length), when available.
     ///
     /// # Errors
     ///
@@ -422,21 +391,6 @@ pub fn run_fixed_uncached(
     PreparedFixed::new(target, net, input)?.run_uncached()
 }
 
-/// Runs one fixed-point classification on any target through the
-/// block-compiled superinstruction path. Bit- and cycle-identical to
-/// [`run_fixed`]; the fast side of the ISS-throughput bench.
-///
-/// # Errors
-///
-/// See [`KernelError`].
-pub fn run_fixed_blocks(
-    target: FixedTarget,
-    net: &FixedNet,
-    input: &[i32],
-) -> Result<FixedRun, KernelError> {
-    PreparedFixed::new(target, net, input)?.run_blocks()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,23 +454,24 @@ mod tests {
             let fast = run_fixed(target, &fixed, &qin).unwrap();
             let reference = run_fixed_uncached(target, &fixed, &qin).unwrap();
             assert_eq!(fast, reference, "target {target:?}");
-            let blocks = run_fixed_blocks(target, &fixed, &qin).unwrap();
-            assert_eq!(blocks, reference, "blocks path, target {target:?}");
         }
     }
 
     #[test]
-    fn blocks_stats_match_run_and_report_fusion() {
+    fn decoded_stats_match_run() {
         let (_, fixed, qin) = small_net(109);
         for target in FixedTarget::paper_targets() {
             let prep = PreparedFixed::new(target, &fixed, &qin).unwrap();
-            let plain = prep.run_blocks().unwrap();
-            let (run, stats) = prep.run_blocks_stats().unwrap();
-            assert_eq!(run, plain, "target {target:?}");
-            let stats = stats.expect("all paper targets collect block stats");
-            assert!(stats.hit_rate > 0.5, "target {target:?}: {stats:?}");
-            assert!(stats.avg_burst >= 1.0, "target {target:?}: {stats:?}");
-            assert!(stats.compiled > 0, "target {target:?}: {stats:?}");
+            let (run, stats) = prep.run_decoded_stats().unwrap();
+            assert_eq!(run, prep.run().unwrap(), "target {target:?}");
+            if let FixedTarget::CortexM4 | FixedTarget::WolfIbex = target {
+                assert_eq!(stats, None, "target {target:?}");
+            } else {
+                // RI5CY targets run on the cluster scheduler.
+                let stats = stats.expect("cluster targets report scheduler stats");
+                assert!(stats.picks > 0, "target {target:?}: {stats:?}");
+                assert!(stats.avg_burst >= 1.0, "target {target:?}: {stats:?}");
+            }
         }
     }
 

@@ -16,25 +16,6 @@
 //! and cycle-identical to the one-instruction-per-pick reference path
 //! (`decode_cache: false`).
 //!
-//! # Block bursts (superinstruction fusion)
-//!
-//! With [`ClusterConfig::block_fusion`] enabled the unit of issue becomes
-//! a compiled basic-block op from a shared [`BlockCache`] instead of a
-//! single pre-decoded instruction: fused Xpulp loop bodies (post-increment
-//! load + MAC/SIMD chains, `addi`+branch tails) execute as one handler
-//! call, so the batch-of-8 inner loop pays one scheduling decision per
-//! body instead of one per instruction. The horizon rule is unchanged —
-//! ops that touch shared state (memory, halt) still stop at another
-//! core's timestamp, and the single memory access of a fused op is
-//! arbitrated at the op's issue instant, exactly where the reference
-//! grants it — so bank and L2-port grant order, stall cycles and the
-//! final [`ClusterRun`] stay bit-identical on runs that complete within
-//! budget. The one relaxation: when a run dies of
-//! [`ClusterError::CycleLimit`], the limit is detected between block ops
-//! rather than between instructions, so the (discarded) partial
-//! architectural state at the error may differ from the reference by a
-//! few fused sub-instructions.
-//!
 //! Model assumption: a store that rewrites *another* core's code mid-burst
 //! may be observed one burst late. Real PULP clusters have no I-cache
 //! coherence either (the fetch path models a warm shared I-cache), so
@@ -43,12 +24,10 @@
 //! invalidation on stores.
 
 use iw_rv32::{
-    Block, BlockCache, BlockStats, Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile,
-    FusionLevel, Instr, MemWidth, Ram, Reg, Timing,
+    Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, Instr, MemWidth, Ram, Reg, Timing,
 };
 
 use iw_trace::{NoopSink, TraceSink, TrackId, CYCLES};
-use std::rc::Rc;
 
 use crate::memmap::{region_of, Region, BARRIER_ADDR};
 
@@ -82,9 +61,6 @@ pub struct ClusterConfig {
     /// path; results are identical to the reference event loop). Disable
     /// to force the one-instruction-per-pick reference interpreter.
     pub decode_cache: bool,
-    /// Execute compiled basic blocks with superinstruction fusion (see
-    /// the module docs). Takes precedence over [`ClusterConfig::decode_cache`].
-    pub block_fusion: bool,
 }
 
 impl Default for ClusterConfig {
@@ -97,7 +73,6 @@ impl Default for ClusterConfig {
             offload_cycles: 2_500,
             timing: Timing::riscy(),
             decode_cache: true,
-            block_fusion: false,
         }
     }
 }
@@ -191,8 +166,6 @@ pub struct SchedStats {
     /// past the runner-up core's. The dominant burst terminator on
     /// memory-bound multi-core workloads.
     pub gated_breaks: u64,
-    /// Block-cache counters, when [`ClusterConfig::block_fusion`] ran.
-    pub block: Option<BlockStats>,
 }
 
 impl SchedStats {
@@ -289,7 +262,7 @@ pub fn run_cluster(
 }
 
 /// [`run_cluster`] that also reports scheduler statistics (picks, burst
-/// length, block-cache counters) alongside the run.
+/// length, gated breaks) alongside the run.
 ///
 /// # Errors
 ///
@@ -336,140 +309,6 @@ pub fn run_cluster_sink<S: TraceSink>(
 ) -> Result<ClusterRun, ClusterError> {
     let mut sched = SchedStats::default();
     run_cluster_inner(cfg, tcdm, l2, entry, max_cycles, sink, &mut sched)
-}
-
-/// Block-burst dispatch loop for a single-core cluster with no trace
-/// sink attached.
-///
-/// With one core the burst horizon is infinite — there is no runner-up
-/// pick — and when every memory instruction costs at least one cycle the
-/// one-access-per-cycle TCDM banks and the L2 port can never stall it:
-/// each grant reserves its resource for exactly one cycle and the next
-/// access issues at least one cycle later (a fused second access trails
-/// its leader by the leader's ≥ 1-cycle memory cost). Both the horizon
-/// gate and the bank/port arbitration therefore drop out of the dispatch
-/// loop; only the L2 latency remap survives. The caller checks the
-/// preconditions ([`ClusterConfig::timing`] load/store and
-/// [`ClusterConfig::l2_latency`] all ≥ 1), and the differential suites
-/// hold this loop bit-identical to the reference pick loop.
-fn single_core_block_burst<'m>(
-    bc: &mut BlockCache<ClusterBus<'m>>,
-    cpu: &mut Cpu,
-    bus: &mut ClusterBus<'m>,
-    cfg: &ClusterConfig,
-    run: &mut ClusterRun,
-    t: u64,
-    max_cycles: u64,
-) -> Result<(u64, u64, bool, bool), ClusterError> {
-    let mut done_at = t;
-    let mut retired = 0u64;
-    let mut halted = false;
-    let mut barrier = false;
-    // Most-recently-entered block: hardware-loop back edges re-enter the
-    // same block every iteration, so the entry compare serves the common
-    // case without touching the slot table. Any demotion clears it.
-    let mut mru: Option<Rc<Block<ClusterBus<'m>>>> = None;
-    'burst: loop {
-        let pc = cpu.pc();
-        if !bc.covers(pc) {
-            // Out-of-window code: plain reference steps.
-            let step = cpu
-                .step(bus, &cfg.timing)
-                .map_err(|source| ClusterError::Core { core: 0, source })?;
-            let Some(step) = step else {
-                break;
-            };
-            let mut cost = u64::from(step.cycles);
-            if let Some(mem) = step.mem {
-                if mem.write && bc.invalidate_store(mem.addr, mem.width) {
-                    mru = None;
-                }
-                if region_of(mem.addr) == Some(Region::L2) {
-                    cost = u64::from(cfg.l2_latency);
-                }
-            }
-            run.busy_cycles += cost;
-            done_at += cost;
-            retired += 1;
-            bc.stats_mut().fallback_steps += 1;
-            if step.halted {
-                halted = true;
-                break;
-            }
-            if bus.barrier_arrived {
-                barrier = true;
-                break;
-            }
-            if done_at > max_cycles {
-                return Err(ClusterError::CycleLimit { limit: max_cycles });
-            }
-            continue 'burst;
-        }
-        let block = match &mru {
-            Some(b) if b.entry() == pc => {
-                bc.stats_mut().hits += 1;
-                Rc::clone(b)
-            }
-            _ => {
-                let b = bc
-                    .lookup(bus, pc)
-                    .map_err(|source| ClusterError::Core { core: 0, source })?;
-                mru = Some(Rc::clone(&b));
-                b
-            }
-        };
-        let (b_entry, b_end) = (block.entry(), block.end());
-        let mut j = 0;
-        while j < block.len() {
-            if cpu.pc() != block.op_pc(j) {
-                // Hardware-loop redirect or partial fused op: re-enter
-                // through a fresh lookup.
-                break;
-            }
-            let budget = max_cycles.saturating_sub(done_at);
-            let exec = block
-                .exec_op(j, cpu, bus, &cfg.timing, budget)
-                .map_err(|source| ClusterError::Core { core: 0, source })?;
-            let mut cost = u64::from(exec.cycles);
-            let mut smc = false;
-            for (mem, mem_cycles) in [(exec.mem, exec.mem_cycles), (exec.mem2, exec.mem2_cycles)] {
-                let Some(mem) = mem else { continue };
-                if mem.write {
-                    if bc.invalidate_store(mem.addr, mem.width) {
-                        mru = None;
-                    }
-                    let span = u64::from(mem.width.bytes());
-                    if u64::from(mem.addr) + span > u64::from(b_entry) && mem.addr < b_end {
-                        smc = true;
-                    }
-                }
-                if region_of(mem.addr) == Some(Region::L2) {
-                    cost = cost - u64::from(mem_cycles) + u64::from(cfg.l2_latency);
-                }
-            }
-            run.busy_cycles += cost;
-            done_at += cost;
-            retired += u64::from(exec.retired);
-            if cpu.is_halted() {
-                halted = true;
-                break 'burst;
-            }
-            if bus.barrier_arrived {
-                barrier = true;
-                break 'burst;
-            }
-            if done_at > max_cycles {
-                return Err(ClusterError::CycleLimit { limit: max_cycles });
-            }
-            if smc {
-                // The store rewrote this block's own bytes: drop the
-                // stale translation and recompile on re-entry.
-                break;
-            }
-            j += 1;
-        }
-    }
-    Ok((done_at, retired, halted, barrier))
 }
 
 fn run_cluster_inner<S: TraceSink>(
@@ -536,8 +375,9 @@ fn run_cluster_inner<S: TraceSink>(
 
     // One decode cache shared by all cores: they run the same SPMD image,
     // so every core hits lines its siblings already filled.
-    let mut cache =
-        (cfg.decode_cache && !cfg.block_fusion).then(|| DecodeCache::new(entry, DECODE_WINDOW));
+    let mut cache = cfg
+        .decode_cache
+        .then(|| DecodeCache::new(entry, DECODE_WINDOW));
 
     let mut bus = ClusterBus {
         tcdm,
@@ -545,29 +385,6 @@ fn run_cluster_inner<S: TraceSink>(
         last_region: None,
         barrier_arrived: false,
     };
-    // One block cache shared by all cores (SPMD, all RI5CY/Xpulp). With a
-    // single core on the interconnect, multi-load fusion is safe — port
-    // arbitration can never stall it — so the full fusion set applies;
-    // with siblings, fused ops keep at most one leading memory access.
-    let mut bcache = cfg.block_fusion.then(|| {
-        let fusion = if n == 1 {
-            FusionLevel::Full
-        } else {
-            FusionLevel::SharedMem
-        };
-        BlockCache::<ClusterBus>::new(entry, DECODE_WINDOW, true, fusion)
-    });
-    // One core with ≥ 1-cycle memory instructions can never stall on the
-    // banks or the L2 port and has no runner-up to gate its bursts:
-    // dispatch it through the arbitration-free fast loop. A trace sink
-    // needs the instrumented loop, and custom zero-cost memory timings
-    // keep the arbitrated one so same-cycle grant collisions still stall.
-    let fast_single = n == 1
-        && !S::ENABLED
-        && bcache.is_some()
-        && cfg.timing.load >= 1
-        && cfg.timing.store >= 1
-        && cfg.l2_latency >= 1;
     loop {
         // Pick the runnable core with the smallest key (= smallest local
         // time, ties to the lowest id) and the runner-up key in one
@@ -596,246 +413,7 @@ fn run_cluster_inner<S: TraceSink>(
         bus.barrier_arrived = false;
         sched.picks += 1;
 
-        let (done_at, retired, halted, barrier_arrived) = if fast_single {
-            let bc = bcache.as_mut().expect("fast_single implies block fusion");
-            single_core_block_burst(bc, &mut cpus[0], &mut bus, cfg, &mut run, t, max_cycles)?
-        } else if let Some(bc) = &mut bcache {
-            // Block burst: the horizon rule of the decode-cache burst
-            // below, with compiled (possibly fused) block ops as the unit
-            // of issue, and the gate sharpened from times to full
-            // scheduler keys: while this core's key `(time << 3) | id`
-            // stays below the runner-up key `m2`, the scheduler could
-            // only ever re-pick this core — equal times tie-break by id
-            // exactly as the pick pass does, which keeps the lowest-id
-            // core bursting through lockstep ties. Only ops that touch
-            // shared state — memory or a halt — are gated; fused
-            // sub-instructions after an op's leading access are
-            // register-only, so their interleaving with other cores is
-            // unobservable and a whole fused loop body costs one
-            // scheduling decision.
-            let mut done_at = t;
-            let mut retired = 0u64;
-            let mut halted = false;
-            let mut barrier = false;
-            'burst: loop {
-                let pc = cpus[i].pc();
-                if !bc.covers(pc) {
-                    // Out-of-window code: one reference step per pick.
-                    if retired > 0 {
-                        break;
-                    }
-                    let step = cpus[i]
-                        .step(&mut bus, &cfg.timing)
-                        .map_err(|source| ClusterError::Core { core: i, source })?;
-                    let Some(step) = step else {
-                        break;
-                    };
-                    let mut cost = u64::from(step.cycles);
-                    let mut stall = 0u64;
-                    let mut stall_kind = "";
-                    if let Some(mem) = step.mem {
-                        if mem.write {
-                            bc.invalidate_store(mem.addr, mem.width);
-                        }
-                        match region_of(mem.addr) {
-                            Some(Region::Tcdm) => {
-                                let bank = ((mem.addr >> 2) as usize) % cfg.tcdm_banks;
-                                let grant = done_at.max(bank_free[bank]);
-                                stall = grant - done_at;
-                                bank_free[bank] = grant + 1;
-                                run.tcdm_conflict_stalls += stall;
-                                cost = stall + u64::from(step.cycles);
-                                stall_kind = "tcdm-stall";
-                            }
-                            Some(Region::L2) => {
-                                let grant = done_at.max(l2_free);
-                                stall = grant - done_at;
-                                l2_free = grant + 1;
-                                run.l2_port_stalls += stall;
-                                cost = stall + u64::from(cfg.l2_latency);
-                                stall_kind = "l2-stall";
-                            }
-                            _ => {}
-                        }
-                    }
-                    run.busy_cycles += cost - stall;
-                    if S::ENABLED {
-                        if stall > 0 {
-                            if done_at > busy_from[i] {
-                                sink.span(core_tracks[i], "busy", busy_from[i], done_at);
-                            }
-                            sink.span(core_tracks[i], stall_kind, done_at, done_at + stall);
-                            busy_from[i] = done_at + stall;
-                        }
-                        sink.pc_sample(core_tracks[i], step.pc, done_at, cost as u32);
-                    }
-                    done_at += cost;
-                    retired += 1;
-                    bc.stats_mut().fallback_steps += 1;
-                    if step.halted {
-                        halted = true;
-                        break;
-                    }
-                    if bus.barrier_arrived {
-                        barrier = true;
-                        break;
-                    }
-                    if ((done_at << 3) | i as u64) < m2 {
-                        if done_at > max_cycles {
-                            return Err(ClusterError::CycleLimit { limit: max_cycles });
-                        }
-                    } else if done_at > max_cycles {
-                        break;
-                    }
-                    continue 'burst;
-                }
-                let block = match bc.lookup(&mut bus, pc) {
-                    Ok(b) => b,
-                    Err(source) => {
-                        if retired == 0 || n == 1 {
-                            return Err(ClusterError::Core { core: i, source });
-                        }
-                        // A failed lookup mutates nothing; re-raised at
-                        // this core's next pick.
-                        break;
-                    }
-                };
-                let (b_entry, b_end) = (block.entry(), block.end());
-                let mut j = 0;
-                while j < block.len() {
-                    if cpus[i].pc() != block.op_pc(j) {
-                        // Hardware-loop redirect or partial fused op:
-                        // re-enter through a fresh lookup.
-                        break;
-                    }
-                    let first = retired == 0;
-                    if !first && ((done_at << 3) | i as u64) >= m2 && block.op_is_sync(j) {
-                        sched.gated_breaks += 1;
-                        break 'burst;
-                    }
-                    let budget = max_cycles.saturating_sub(done_at);
-                    let exec = match block.exec_op(j, &mut cpus[i], &mut bus, &cfg.timing, budget) {
-                        Ok(x) => x,
-                        Err(source) => {
-                            if first || n == 1 {
-                                return Err(ClusterError::Core { core: i, source });
-                            }
-                            // Shared-memory fusion faults only before
-                            // mutating state: re-raised next pick.
-                            break 'burst;
-                        }
-                    };
-                    // Arbitrate the op's leading access at its issue
-                    // instant — the same grant time the reference uses.
-                    let mut cost = u64::from(exec.cycles);
-                    let mut stall = 0u64;
-                    let mut stall_kind = "";
-                    let mut smc = false;
-                    // Cluster-time offset of a second fused access
-                    // (full-fusion double loads, single-core only).
-                    let mut sub2_delta = 0u64;
-                    if let Some(mem) = exec.mem {
-                        if mem.write {
-                            bc.invalidate_store(mem.addr, mem.width);
-                            let span = u64::from(mem.width.bytes());
-                            if u64::from(mem.addr) + span > u64::from(b_entry) && mem.addr < b_end {
-                                smc = true;
-                            }
-                        }
-                        match region_of(mem.addr) {
-                            Some(Region::Tcdm) => {
-                                let bank = ((mem.addr >> 2) as usize) % cfg.tcdm_banks;
-                                let grant = done_at.max(bank_free[bank]);
-                                stall = grant - done_at;
-                                bank_free[bank] = grant + 1;
-                                run.tcdm_conflict_stalls += stall;
-                                cost += stall;
-                                stall_kind = "tcdm-stall";
-                                sub2_delta = stall + u64::from(exec.mem_cycles);
-                            }
-                            Some(Region::L2) => {
-                                let grant = done_at.max(l2_free);
-                                stall = grant - done_at;
-                                l2_free = grant + 1;
-                                run.l2_port_stalls += stall;
-                                cost = cost - u64::from(exec.mem_cycles)
-                                    + u64::from(cfg.l2_latency)
-                                    + stall;
-                                stall_kind = "l2-stall";
-                                sub2_delta = stall + u64::from(cfg.l2_latency);
-                            }
-                            _ => {}
-                        }
-                    }
-                    let mut stall2 = 0u64;
-                    if let Some(mem) = exec.mem2 {
-                        if mem.write {
-                            bc.invalidate_store(mem.addr, mem.width);
-                            let span = u64::from(mem.width.bytes());
-                            if u64::from(mem.addr) + span > u64::from(b_entry) && mem.addr < b_end {
-                                smc = true;
-                            }
-                        }
-                        let sub2_at = done_at + sub2_delta;
-                        match region_of(mem.addr) {
-                            Some(Region::Tcdm) => {
-                                let bank = ((mem.addr >> 2) as usize) % cfg.tcdm_banks;
-                                let grant = sub2_at.max(bank_free[bank]);
-                                stall2 = grant - sub2_at;
-                                bank_free[bank] = grant + 1;
-                                run.tcdm_conflict_stalls += stall2;
-                                cost += stall2;
-                            }
-                            Some(Region::L2) => {
-                                let grant = sub2_at.max(l2_free);
-                                stall2 = grant - sub2_at;
-                                l2_free = grant + 1;
-                                run.l2_port_stalls += stall2;
-                                cost = cost - u64::from(exec.mem2_cycles)
-                                    + u64::from(cfg.l2_latency)
-                                    + stall2;
-                            }
-                            _ => {}
-                        }
-                    }
-                    run.busy_cycles += cost - stall - stall2;
-                    if S::ENABLED {
-                        if stall > 0 {
-                            if done_at > busy_from[i] {
-                                sink.span(core_tracks[i], "busy", busy_from[i], done_at);
-                            }
-                            sink.span(core_tracks[i], stall_kind, done_at, done_at + stall);
-                            busy_from[i] = done_at + stall;
-                        }
-                        sink.pc_sample(core_tracks[i], block.op_pc(j), done_at, cost as u32);
-                    }
-                    done_at += cost;
-                    retired += u64::from(exec.retired);
-                    if cpus[i].is_halted() {
-                        halted = true;
-                        break 'burst;
-                    }
-                    if bus.barrier_arrived {
-                        barrier = true;
-                        break 'burst;
-                    }
-                    if ((done_at << 3) | i as u64) < m2 {
-                        if done_at > max_cycles {
-                            return Err(ClusterError::CycleLimit { limit: max_cycles });
-                        }
-                    } else if done_at > max_cycles {
-                        break 'burst;
-                    }
-                    if smc {
-                        // The store rewrote this block's own bytes: drop
-                        // the stale translation and recompile on re-entry.
-                        break;
-                    }
-                    j += 1;
-                }
-            }
-            (done_at, retired, halted, barrier)
-        } else if let Some(cache) = &mut cache {
+        let (done_at, retired, halted, barrier_arrived) = if let Some(cache) = &mut cache {
             // Fast path: horizon burst. Every other runnable core acts no
             // earlier than `horizon` (the runner-up scheduler key), so
             // while this core's local time stays strictly below it, the
@@ -1069,7 +647,6 @@ fn run_cluster_inner<S: TraceSink>(
         run.profile.merge(cpu.profile());
     }
     run.cycles = run.per_core_cycles.iter().copied().max().unwrap_or(0) + cfg.offload_cycles;
-    sched.block = bcache.as_ref().map(|c| c.stats());
     Ok(run)
 }
 
@@ -1321,7 +898,6 @@ mod tests {
         let cfg = ClusterConfig {
             cores,
             decode_cache: mode == "cached",
-            block_fusion: mode == "blocks",
             ..ClusterConfig::default()
         };
         let (run, sched) = run_cluster_stats(&cfg, &mut tcdm, &mut l2, L2_BASE, 100_000).unwrap();
@@ -1334,39 +910,35 @@ mod tests {
     #[test]
     fn cached_cluster_matches_reference() {
         let image = contended_program().assemble().unwrap();
-        let (run_ref, _, mem_ref) = run_with(&image, 8, "reference");
-        let (run_fast, _, mem_fast) = run_with(&image, 8, "cached");
-        assert_eq!(run_fast, run_ref, "ClusterRun must be bit-identical");
-        assert_eq!(mem_fast, mem_ref, "TCDM contents must be bit-identical");
+        for cores in [1, 2, 8] {
+            let (run_ref, sched_ref, mem_ref) = run_with(&image, cores, "reference");
+            let (run_fast, sched_fast, mem_fast) = run_with(&image, cores, "cached");
+            assert_eq!(
+                run_fast, run_ref,
+                "cores={cores}: ClusterRun must be bit-identical"
+            );
+            assert_eq!(
+                mem_fast, mem_ref,
+                "cores={cores}: TCDM must be bit-identical"
+            );
+            assert_eq!(run_ref.barriers, 1, "cores={cores}");
+            assert!(
+                sched_fast.avg_burst() > sched_ref.avg_burst(),
+                "cores={cores}: horizon bursts must beat one-instruction picks \
+                 ({} vs {})",
+                sched_fast.avg_burst(),
+                sched_ref.avg_burst()
+            );
+        }
+        let (run_ref, _, _) = run_with(&image, 8, "reference");
         assert!(
             run_ref.tcdm_conflict_stalls > 0,
             "workload must actually contend: {run_ref:?}"
         );
-        assert_eq!(run_ref.barriers, 1);
     }
 
     #[test]
-    fn block_cluster_matches_reference() {
-        let image = contended_program().assemble().unwrap();
-        for cores in [1, 2, 8] {
-            let (run_ref, sched_ref, mem_ref) = run_with(&image, cores, "reference");
-            let (run_blk, sched_blk, mem_blk) = run_with(&image, cores, "blocks");
-            assert_eq!(run_blk, run_ref, "cores={cores}: ClusterRun must match");
-            assert_eq!(mem_blk, mem_ref, "cores={cores}: TCDM must match");
-            let stats = sched_blk.block.expect("block stats recorded");
-            assert!(stats.blocks_compiled > 0, "cores={cores}");
-            assert!(
-                sched_blk.avg_burst() > sched_ref.avg_burst(),
-                "cores={cores}: block bursts must beat one-instruction picks \
-                 ({} vs {})",
-                sched_blk.avg_burst(),
-                sched_ref.avg_burst()
-            );
-        }
-    }
-
-    #[test]
-    fn block_cluster_fuses_hwloop_bodies() {
+    fn cached_cluster_matches_reference_on_hwloop_bodies() {
         // The Network-B inner-loop shape: hardware loop over
         // p.lw / p.lw / pv.sdotsp.h against TCDM, per core.
         use iw_rv32::{LoopIdx, SimdOp};
@@ -1385,23 +957,13 @@ mod tests {
         asm.ecall();
         let image = asm.assemble().unwrap();
         for cores in [1, 8] {
-            let (run_ref, _, _) = run_with(&image, cores, "reference");
-            let (run_blk, sched, _) = run_with(&image, cores, "blocks");
-            assert_eq!(run_blk, run_ref, "cores={cores}");
-            let stats = sched.block.unwrap();
+            let (run_ref, _, mem_ref) = run_with(&image, cores, "reference");
+            let (run_fast, sched, mem_fast) = run_with(&image, cores, "cached");
+            assert_eq!(run_fast, run_ref, "cores={cores}");
+            assert_eq!(mem_fast, mem_ref, "cores={cores}");
             if cores == 1 {
-                // Single core on the interconnect: full fusion applies,
-                // and with no sibling to wait for the whole run is a
-                // handful of picks.
-                assert!(stats.fused_lp_lp_sdotsp > 0, "{stats:?}");
-                assert!(sched.avg_burst() > 5.0, "burst {}", sched.avg_burst());
-            } else {
-                // Lockstep: every core's loop body is almost all memory
-                // ops, so nearly every pick is one (fused) op — the win
-                // over single-instruction picks is the fused width.
-                assert_eq!(stats.fused_lp_lp_sdotsp, 0, "{stats:?}");
-                assert!(stats.fused_lp_sdotsp > 0, "{stats:?}");
-                assert!(sched.avg_burst() > 1.5, "burst {}", sched.avg_burst());
+                // No sibling to wait for: the whole run is one burst.
+                assert_eq!(sched.picks, 1, "{sched:?}");
             }
         }
     }
@@ -1411,7 +973,7 @@ mod tests {
     #[test]
     fn cycle_accounting_is_conservative() {
         let image = contended_program().assemble().unwrap();
-        for mode in ["reference", "cached", "blocks"] {
+        for mode in ["reference", "cached"] {
             let (run, _, _) = run_with(&image, 8, mode);
             let total: u64 = run.per_core_cycles.iter().sum();
             assert_eq!(
@@ -1478,12 +1040,11 @@ mod tests {
         asm.addi(Reg::T0, Reg::T0, 1);
         asm.jal_to(Reg::ZERO, top);
         let image = asm.assemble().unwrap();
-        for mode in ["reference", "cached", "blocks"] {
+        for mode in ["reference", "cached"] {
             let (mut tcdm, mut l2) = fresh_mems();
             l2.write_bytes(L2_BASE, &image);
             let cfg = ClusterConfig {
                 decode_cache: mode == "cached",
-                block_fusion: mode == "blocks",
                 ..ClusterConfig::default()
             };
             let err = run_cluster(&cfg, &mut tcdm, &mut l2, L2_BASE, 1_000).unwrap_err();

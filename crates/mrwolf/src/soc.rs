@@ -2,8 +2,7 @@
 //! controller and the RI5CY cluster.
 
 use iw_rv32::{
-    BlockCache, BlockStats, Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, FusionLevel,
-    MemWidth, Ram, Reg, RunResult, Timing,
+    Bus, BusError, Cpu, CpuError, DecodeCache, ExecProfile, MemWidth, Ram, Reg, RunResult, Timing,
 };
 
 use iw_trace::{NoopSink, TraceSink, TrackId};
@@ -217,39 +216,6 @@ impl MrWolf {
         })
     }
 
-    /// Block-compiled fabric-controller run ([`Cpu::run_blocks`]): hot
-    /// basic blocks are translated once into flat handler arrays with
-    /// superinstruction fusion. Bit- and cycle-identical to
-    /// [`MrWolf::run_fc`]; also returns the block-cache counters.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CpuError`] (including the cycle limit).
-    pub fn run_fc_blocks(
-        &mut self,
-        entry: u32,
-        max_cycles: u64,
-    ) -> Result<(FcRun, BlockStats), CpuError> {
-        let mut cpu = Cpu::new_rv32im(entry);
-        cpu.set_reg(Reg::SP, L2_BASE + L2_SIZE as u32);
-        let mut bus = FcBus {
-            tcdm: &mut self.tcdm,
-            l2: &mut self.l2,
-        };
-        // The FC is alone on its bus, so full fusion is safe; xpulp=false
-        // compiles Xpulp encodings to faulting ops, as Ibex would.
-        let mut cache = BlockCache::new(entry, 64 * 1024, false, FusionLevel::Full);
-        let result = cpu.run_blocks(&mut bus, &Timing::ibex(), max_cycles, &mut cache)?;
-        Ok((
-            FcRun {
-                result,
-                a0: cpu.reg(Reg::A0),
-                profile: *cpu.profile(),
-            },
-            cache.stats(),
-        ))
-    }
-
     /// Runs an SPMD program on the RI5CY cluster; see
     /// [`crate::cluster::run_cluster`] for the execution model.
     ///
@@ -284,7 +250,7 @@ impl MrWolf {
     }
 
     /// [`MrWolf::run_cluster`] that also reports scheduler statistics
-    /// (picks, average burst length, block-cache counters).
+    /// (picks, average burst length, gated breaks).
     ///
     /// # Errors
     ///
@@ -368,13 +334,6 @@ mod tests {
         wolf_b.l2_mut().write_bytes(L2_BASE, &program);
         let reference = wolf_b.run_fc_uncached(L2_BASE, 100_000).unwrap();
         assert_eq!(cached, reference);
-
-        let mut wolf_c = MrWolf::new();
-        wolf_c.l2_mut().write_bytes(L2_BASE, &program);
-        let (blocks, stats) = wolf_c.run_fc_blocks(L2_BASE, 100_000).unwrap();
-        assert_eq!(blocks, reference);
-        assert!(stats.fused_addi_branch > 0, "{stats:?}");
-        assert!(stats.hit_rate() > 0.9, "{stats:?}");
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! The nRF52832 as a compute target: Cortex-M4F core + RAM + energy
 //! accounting.
 
-use iw_armv7m::{
-    BlockProgram, CortexM4, CortexM4Timing, FusedStats, M4Error, RunResult, ThumbInstr,
-};
+use iw_armv7m::{CortexM4, CortexM4Timing, M4Error, RunResult, ThumbInstr};
 use iw_rv32::{ExecProfile, Ram};
 use iw_trace::{NoopSink, TraceSink, TrackId};
 
@@ -161,28 +159,6 @@ impl Nrf52 {
         Ok(self.finish_run(result))
     }
 
-    /// Runs a fusion-compiled program (see [`BlockProgram::compile`]) —
-    /// the superinstruction fast path above [`Nrf52::run`], bit- and
-    /// cycle-identical by differential test. Dispatch and per-pattern
-    /// fusion counters accumulate into `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Nrf52::run`].
-    pub fn run_blocks(
-        &mut self,
-        program: &BlockProgram,
-        max_cycles: u64,
-        stats: &mut FusedStats,
-    ) -> Result<Nrf52Run, M4Error> {
-        self.cpu.set_pc(0);
-        self.cpu.reset_profile();
-        let result = self
-            .cpu
-            .run_fused(program, &mut self.mem, &self.timing, max_cycles, stats)?;
-        Ok(self.finish_run(result))
-    }
-
     /// Runs halfword-encoded `code` (see [`iw_armv7m::encode_program`]),
     /// decoding every dynamic instruction — the uncached baseline for
     /// [`Nrf52::run`], bit- and cycle-identical by differential test.
@@ -247,19 +223,6 @@ mod tests {
             soc_a.mem().read_bytes(RAM_BASE, 4),
             soc_b.mem().read_bytes(RAM_BASE, 4)
         );
-
-        let fused = iw_armv7m::BlockProgram::compile(&program);
-        let mut soc_c = Nrf52::new();
-        let mut stats = iw_armv7m::FusedStats::default();
-        let run_c = soc_c.run_blocks(&fused, 10_000, &mut stats).unwrap();
-        assert_eq!(run_a, run_c);
-        assert_eq!(soc_a.cpu().reg(R::R2), soc_c.cpu().reg(R::R2));
-        assert_eq!(
-            soc_a.mem().read_bytes(RAM_BASE, 4),
-            soc_c.mem().read_bytes(RAM_BASE, 4)
-        );
-        assert!(stats.fused_subs_b > 0);
-        assert!(stats.avg_burst() > 1.0);
     }
 
     #[test]

@@ -135,13 +135,13 @@ pub struct Step {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cpu {
-    pub(crate) regs: [u32; 32],
-    pub(crate) pc: u32,
-    pub(crate) hwloops: [HwLoop; 2],
-    pub(crate) xpulp: bool,
-    pub(crate) halted: bool,
-    pub(crate) retired: u64,
-    pub(crate) profile: ExecProfile,
+    regs: [u32; 32],
+    pc: u32,
+    hwloops: [HwLoop; 2],
+    xpulp: bool,
+    halted: bool,
+    retired: u64,
+    profile: ExecProfile,
 }
 
 /// Summary of a [`Cpu::run`].
@@ -236,42 +236,7 @@ impl Cpu {
         self.hwloops[idx]
     }
 
-    /// Retires one instruction: applies the hardware-loop back-edge
-    /// redirect, records the profile and advances `pc`.
-    ///
-    /// This is the exact tail of [`Cpu::execute`], factored out so block
-    /// handlers (`block.rs`) that have already performed an instruction's
-    /// architectural effects can finish it identically — sub-instructions
-    /// of a fused macro-op each retire through here so a fault or budget
-    /// stop between them leaves state exactly as the reference path would.
-    #[inline]
-    pub(crate) fn retire(
-        &mut self,
-        class: InstrClass,
-        cycles: u32,
-        mut next_pc: u32,
-        loop_redirect_allowed: bool,
-    ) {
-        if loop_redirect_allowed && !self.halted {
-            for l in 0..2 {
-                let hl = &mut self.hwloops[l];
-                if hl.count > 0 && next_pc == hl.end {
-                    if hl.count > 1 {
-                        hl.count -= 1;
-                        next_pc = hl.start;
-                    } else {
-                        hl.count = 0;
-                    }
-                    break;
-                }
-            }
-        }
-        self.profile.record(class, cycles);
-        self.pc = next_pc;
-        self.retired += 1;
-    }
-
-    pub(crate) fn mem_load<B: Bus>(
+    fn mem_load<B: Bus>(
         &mut self,
         bus: &mut B,
         addr: u32,
@@ -288,7 +253,7 @@ impl Cpu {
         })
     }
 
-    pub(crate) fn mem_store<B: Bus>(
+    fn mem_store<B: Bus>(
         &mut self,
         bus: &mut B,
         addr: u32,
@@ -1577,6 +1542,84 @@ mod tests {
         assert_eq!(a0_ref, 1 + 7, "first pass +1, second pass sees the patch");
         assert_eq!(a0_cached, a0_ref);
         assert_eq!(res_cached, res_ref);
+    }
+
+    /// Runs `image` on the reference and the pre-decoded path and asserts
+    /// the result (or error), architectural state and memory agree.
+    fn assert_cached_matches_reference(image: &[u8], max_cycles: u64, setup: impl Fn(&mut Ram)) {
+        let mut ram_a = Ram::new(0, 4096);
+        ram_a.write_bytes(0, image);
+        setup(&mut ram_a);
+        let mut ref_cpu = Cpu::new(0);
+        let ref_res = ref_cpu.run(&mut ram_a, &Timing::riscy(), max_cycles);
+
+        let mut ram_b = Ram::new(0, 4096);
+        ram_b.write_bytes(0, image);
+        setup(&mut ram_b);
+        let mut cpu = Cpu::new(0);
+        let mut cache = DecodeCache::new(0, 4096);
+        let res = cpu.run_cached(&mut ram_b, &Timing::riscy(), max_cycles, &mut cache);
+
+        let ctx = format!("max_cycles = {max_cycles}");
+        assert_eq!(res, ref_res, "{ctx}");
+        assert_eq!(cpu.regs, ref_cpu.regs, "{ctx}");
+        assert_eq!(cpu.pc, ref_cpu.pc, "{ctx}");
+        assert_eq!(cpu.hwloops, ref_cpu.hwloops, "{ctx}");
+        assert_eq!(cpu.retired, ref_cpu.retired, "{ctx}");
+        assert_eq!(cpu.profile, ref_cpu.profile, "{ctx}");
+        assert_eq!(
+            ram_b.read_bytes(0, 4096),
+            ram_a.read_bytes(0, 4096),
+            "{ctx}"
+        );
+    }
+
+    #[test]
+    fn cached_xpulp_kernel_matches_reference_at_every_cycle_limit() {
+        // The Network-B inner-loop shape: hardware loop around
+        // p.lw / p.lw / pv.sdotsp.h, then a mul/srai/add requantize tail.
+        let mut asm = Asm::new(0);
+        asm.li(Reg::A0, 0x200); // w cursor
+        asm.li(Reg::A1, 0x300); // x cursor
+        asm.li(Reg::A2, 0); // acc
+        asm.li(Reg::T0, 8); // count
+        let end = asm.new_label();
+        asm.lp_setup_to(LoopIdx::L0, Reg::T0, end);
+        asm.load_post(MemWidth::W, Reg::A3, Reg::A0, 4);
+        asm.load_post(MemWidth::W, Reg::A4, Reg::A1, 4);
+        asm.simd(SimdOp::SdotspH, Reg::A2, Reg::A3, Reg::A4);
+        asm.bind(end);
+        asm.li(Reg::A5, 3);
+        asm.alu(AluOp::Mul, Reg::A6, Reg::A2, Reg::A5);
+        asm.shift(ShiftOp::Srai, Reg::A6, Reg::A6, 7);
+        asm.alu(AluOp::Add, Reg::A7, Reg::A6, Reg::A5);
+        asm.ecall();
+        let image = asm.assemble().unwrap();
+        let fill = |ram: &mut Ram| {
+            for i in 0..32u32 {
+                ram.write_bytes(0x200 + 4 * i, &(0x0001_0002u32 + i).to_le_bytes());
+                ram.write_bytes(0x300 + 4 * i, &(0x0003_0001u32 + i).to_le_bytes());
+            }
+        };
+        // Limits across the whole run, so cuts land inside the loop body,
+        // plus one run to completion.
+        for limit in (1..80).chain([100_000]) {
+            assert_cached_matches_reference(&image, limit, fill);
+        }
+    }
+
+    #[test]
+    fn cached_fault_matches_reference() {
+        // The second p.lw reads a misaligned address: the first load's
+        // post-increment stays applied and the fault pc must agree.
+        let mut asm = Asm::new(0);
+        asm.li(Reg::A0, 0x200);
+        asm.li(Reg::A1, 0x301); // misaligned
+        asm.load_post(MemWidth::W, Reg::A3, Reg::A0, 4);
+        asm.load_post(MemWidth::W, Reg::A4, Reg::A1, 4);
+        asm.ecall();
+        let image = asm.assemble().unwrap();
+        assert_cached_matches_reference(&image, 100_000, |_| {});
     }
 
     #[test]

@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod asm;
-mod block;
 mod bus;
 mod cache;
 mod cpu;
@@ -69,7 +68,6 @@ mod instr;
 mod profile;
 mod timing;
 
-pub use block::{Block, BlockCache, BlockStats, Exec, FusionLevel};
 pub use bus::{Bus, BusError, Ram};
 pub use cache::DecodeCache;
 pub use cpu::{Cpu, CpuError, HwLoop, MemAccess, RunResult, Step};

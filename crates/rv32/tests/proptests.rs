@@ -1,13 +1,12 @@
 //! Property tests: every constructible instruction encodes to a word that
 //! decodes back to itself, decoding arbitrary words never panics, and the
-//! accelerated execution paths — pre-decoded ([`Cpu::run_cached`]) and
-//! block-compiled ([`Cpu::run_blocks`], both fusion levels) — are bit- and
+//! pre-decoded batched execution path ([`Cpu::run_cached`]) is bit- and
 //! cycle-identical to the fetch-and-decode reference ([`Cpu::run`]),
 //! including on faults, cycle-limit exits and self-modifying stores.
 
 use iw_rv32::{
-    decode, encode, AluImmOp, AluOp, BlockCache, BranchCond, Cpu, CpuError, DecodeCache,
-    FusionLevel, Instr, LoopIdx, MemWidth, PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
+    decode, encode, AluImmOp, AluOp, BranchCond, Cpu, CpuError, DecodeCache, Instr, LoopIdx,
+    MemWidth, PulpAluOp, Ram, Reg, RunResult, ShiftOp, SimdOp, Timing,
 };
 use proptest::prelude::*;
 
@@ -254,25 +253,14 @@ fn run_cached(words: &[u32], regs: &[u32], window: u32) -> Outcome {
     outcome(cpu, &ram, result)
 }
 
-fn run_blocks(words: &[u32], regs: &[u32], window: u32, fusion: FusionLevel) -> Outcome {
-    let (mut cpu, mut ram) = fresh_machine(words, regs);
-    let mut cache = BlockCache::new(0, window, true, fusion);
-    let result = cpu.run_blocks(&mut ram, &Timing::riscy(), MAX_CYCLES, &mut cache);
-    outcome(cpu, &ram, result)
-}
-
-/// Asserts every accelerated path reproduces `reference` exactly.
-fn assert_all_paths_match(words: &[u32], regs: &[u32], reference: &Outcome) {
+/// Asserts the pre-decoded path reproduces `reference` exactly, with a
+/// full-memory decode window and a narrow one that forces out-of-window
+/// fallback fetches.
+fn assert_cached_matches(words: &[u32], regs: &[u32], reference: &Outcome) {
     let cached = run_cached(words, regs, MEM_SIZE as u32);
     assert_eq!(&cached, reference, "run_cached, full window");
     let narrow = run_cached(words, regs, 0x40);
     assert_eq!(&narrow, reference, "run_cached, narrow window");
-    for fusion in [FusionLevel::SharedMem, FusionLevel::Full] {
-        let blocks = run_blocks(words, regs, MEM_SIZE as u32, fusion);
-        assert_eq!(&blocks, reference, "run_blocks {fusion:?}, full window");
-        let narrow = run_blocks(words, regs, 0x40, fusion);
-        assert_eq!(&narrow, reference, "run_blocks {fusion:?}, narrow window");
-    }
 }
 
 /// Register values biased into the mapped address range so that random
@@ -306,9 +294,9 @@ proptest! {
     }
 
     /// Arbitrary programs — including ones that branch wildly, fault, or
-    /// spin until the cycle limit — behave identically on the cached,
-    /// block-compiled and uncached paths, with both a full-memory window
-    /// and a narrow one that forces out-of-window fallback fetches.
+    /// spin until the cycle limit — behave identically on the cached and
+    /// uncached paths, with both a full-memory decode window and a narrow
+    /// one that forces out-of-window fallback fetches.
     #[test]
     fn cached_execution_is_bit_exact(
         instrs in prop::collection::vec(any_instr(), 0..40),
@@ -321,7 +309,7 @@ proptest! {
         words.push(encode(&Instr::Ecall).unwrap());
 
         let reference = run_uncached(&words, &regs);
-        assert_all_paths_match(&words, &regs, &reference);
+        assert_cached_matches(&words, &regs, &reference);
     }
 
     /// Self-modifying code: a store patches one of the instructions ahead
@@ -363,17 +351,17 @@ proptest! {
         regs[Reg::T1.index() as usize - 1] = 4 * (1 + slot) as u32;
 
         let reference = run_uncached(&words, &regs);
-        assert_all_paths_match(&words, &regs, &reference);
+        assert_cached_matches(&words, &regs, &reference);
         // And the patch must actually have taken effect.
         let a0 = reference.regs[Reg::A0.index() as usize];
         prop_assert_eq!(a0, ((SLOTS as i32 - 1) + k) as u32);
     }
 
     /// Self-modifying-code fuzzing: programs randomly interleaved with
-    /// stores aimed back into the code region, so compiled blocks are
-    /// demoted mid-run — sometimes the very block being executed. Every
-    /// accelerated path must track the reference bit-for-bit through the
-    /// demotions and recompiles.
+    /// stores aimed back into the code region, so pre-decoded lines are
+    /// invalidated mid-run — sometimes the very line about to execute.
+    /// The cached path must track the reference bit-for-bit through the
+    /// invalidations and re-decodes.
     #[test]
     fn random_code_stores_stay_bit_exact(
         prog in prop::collection::vec(
@@ -381,7 +369,7 @@ proptest! {
                 any_instr(),
                 any_instr(),
                 // Aligned word stores into the first 48 words: rewrite
-                // whole instructions, exercising demotion + recompile.
+                // whole instructions, exercising invalidate + re-decode.
                 (any_reg(), 0i32..48).prop_map(|(rs2, w)| Instr::Store {
                     width: MemWidth::W,
                     rs2,
@@ -410,6 +398,6 @@ proptest! {
         words.push(encode(&Instr::Ecall).unwrap());
 
         let reference = run_uncached(&words, &regs);
-        assert_all_paths_match(&words, &regs, &reference);
+        assert_cached_matches(&words, &regs, &reference);
     }
 }

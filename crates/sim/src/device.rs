@@ -28,7 +28,7 @@ use iw_fault::{
     mix, FaultCounters, FaultKind, FaultPlan, ReliabilityCounters, SplitMix64, SyncOutcome,
 };
 use iw_harvest::{Battery, EnvProfile, SimReport, SolarHarvester, TegHarvester, TracePoint};
-use iw_kernels::{ExecPath, Machine, MachineError, MachineRun, Workload};
+use iw_kernels::MachineRun;
 use iw_metrics::Histogram;
 use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
@@ -70,23 +70,6 @@ impl ComputeJob {
             energy_j: run.energy.total_j,
             cycles: run.cycles,
         }
-    }
-
-    /// Deploys `workload` on `machine` (through the normal
-    /// [`Machine::deploy`] / [`iw_kernels::Deployment::run`] path), runs it
-    /// once, and turns the measured cycles and energy into a job.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MachineError`] from deployment or the run.
-    pub fn deploy(
-        machine: &dyn Machine,
-        workload: &dyn Workload,
-        path: ExecPath,
-    ) -> Result<ComputeJob, MachineError> {
-        let deployment = machine.deploy(workload)?;
-        let run = deployment.run(path)?;
-        Ok(ComputeJob::from_run(&run, machine.clock_hz()))
     }
 
     /// Average power during the job, watts (zero for zero-duration jobs,

@@ -74,3 +74,9 @@ cargo run --release -q -p iw-bench --bin policy-search -- \
 # in-process single-thread reference (--check exits non-zero otherwise).
 cargo run --release -q -p iw-bench --bin fleet -- \
   --scenario epidemic --devices 256 --workers 2 --check >/dev/null
+
+# Smoke: the repository benchmark's own unit and smoke tests, plus a check
+# that every workload reports exactly the metric names BENCHMARK.json
+# declares. This is the only gate that builds perfbench/ (a separate cargo
+# package) against the public API of iw-sim and the other crates it uses.
+python3 perfbench/run.py --self-test >/dev/null

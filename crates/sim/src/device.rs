@@ -1,20 +1,36 @@
 //! The whole-device simulation: the InfiniWolf bracelet assembled from
 //! event-engine components.
 //!
-//! Component wiring (every event is broadcast; arrows show who schedules
-//! what):
+//! The bracelet is a fixed set of components owned by one router,
+//! `Bracelet`. The engine hands it each event; the fault component sees
+//! every event first (so brownout polling and fault state flips land
+//! before any other reader), then the event goes to the component that
+//! owns it. The router's exhaustive `match` is the wiring diagram (arrows
+//! show what each handler schedules or does):
 //!
 //! ```text
-//! EnvComponent      ── EnvSegment{i} ──▶ sets solar/TEG intake, End at t_end
-//! PolicyComponent   ── PolicyTick ─────▶ AcquireStart + next PolicyTick
-//! SensorComponent   ── AcquireStart ───▶ AFE load on, AcquireEnd at +3 s
-//!                   ── AcquireEnd ─────▶ AFE load off, ComputeStart
-//! ComputeComponent  ── ComputeStart ───▶ cluster load on, ComputeEnd at +T
-//!                   ── ComputeEnd ─────▶ one detection retired
-//! RadioComponent    ── ComputeEnd ─────▶ result-notification impulse
-//!                   ── BleSyncStart ───▶ radio load on, BleSyncEnd at +burst
-//! SamplerComponent  ── Sample ─────────▶ TracePoint + harvest counters
+//! every event      ▶ FaultComponent    brownout poll (not on Sample)
+//! FaultStart{i}    ▶ FaultComponent    flags on, FaultEnd{i} + next FaultStart
+//!                  ▶ SensorComponent   open windows marked corrupt
+//! FaultEnd{i}      ▶ FaultComponent    flags off
+//! GaugeTick        ▶ FaultComponent    new gauge bias, next GaugeTick
+//! BrownoutRecover  ▶ FaultComponent    cold start completes (or re-arms)
+//! EnvSegment{i}    ▶ EnvComponent      sets solar/TEG intake (End at t_end)
+//! PolicyTick       ▶ PolicyComponent   AcquireStart + next PolicyTick
+//! AcquireStart     ▶ SensorComponent   AFE load on, AcquireEnd at +3 s
+//! AcquireEnd       ▶ SensorComponent   AFE load off, ComputeStart
+//! ComputeStart     ▶ ComputeComponent  compute load on, ComputeEnd at +T
+//! ComputeEnd{j}    ▶ ComputeComponent  one detection retired
+//!                  ▶ RadioComponent    notification impulse (or batched)
+//! BleSyncStart     ▶ RadioComponent    radio load on, BleSyncEnd at +burst
+//! BleSyncEnd       ▶ RadioComponent    outcome, retry or next BleSyncStart
+//! ContactStart{i}  ▶ BleScanComponent  scan load on, ContactEnd{i}
+//! ContactEnd{i}    ▶ BleScanComponent  edge observed (or missed)
+//! Sample           ▶ SamplerComponent  TracePoint + harvest counters
 //! ```
+//!
+//! The radio, scanner and sampler are optional; an event only they
+//! schedule never arrives without them.
 //!
 //! Acquisition windows (and compute jobs) may overlap when the policy
 //! rate exceeds `1 / window`; each component tracks its multiplicity and
@@ -34,7 +50,7 @@ use iw_nrf52::BleRadio;
 use iw_scenario::ContactPlan;
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, Engine, Event, LoadSlot, SimCtx};
+use crate::engine::{secs_to_us, Component, DeviceState, Engine, Event, LoadSlot, SimCtx};
 use crate::faults::{finalize_reliability, FaultComponent, BLE_STREAM};
 use iw_policy::{PolicySpec, TargetRule};
 
@@ -265,70 +281,10 @@ impl DeviceConfig {
     /// set, `acquire` / `compute` / `ble-sync` spans plus `notify`
     /// instants on a `device` track (1 µs ticks).
     pub fn run_traced<S: TraceSink>(&self, sink: &mut S) -> DeviceReport {
-        let mut engine: Engine<S> = Engine::new(self.battery);
+        let mut engine = Engine::new(self.battery);
         engine.state.base_load_w = self.sleep_floor_w;
-        // The fault component goes first: state flips (brownout, signal
-        // corruption, harvest derates) land before any same-timestamp
-        // policy or sensor reads, which keeps runs order-deterministic.
-        engine.add(Box::new(FaultComponent::new(
-            self.faults.clone(),
-            self.sleep_floor_w,
-            self.detection_spans,
-        )));
-        engine.add(Box::new(EnvComponent::new(
-            &self.env,
-            &self.solar,
-            &self.teg,
-        )));
-        engine.add(Box::new(PolicyComponent::new(self.policy)));
-        engine.add(Box::new(SensorComponent::new(
-            self.costs.acquisition_j,
-            self.costs.acquisition_s,
-            self.detection_spans,
-        )));
-        match (self.target_jobs, self.policy.targets) {
-            (Some(jobs), Some(rule)) => engine.add(Box::new(ComputeComponent::adaptive(
-                jobs,
-                rule,
-                self.detection_spans,
-            ))),
-            _ => engine.add(Box::new(ComputeComponent::new(
-                self.costs.compute,
-                self.detection_spans,
-            ))),
-        }
-        // A duty-cycled policy always gets a radio: notifications are
-        // batched into the periodic sync burst even when `sync` is unset
-        // (a default nRF52 burst at the policy's interval).
-        let batch_interval_s = self.policy.sync_interval_s();
-        let sync = match (batch_interval_s, self.sync) {
-            (Some(interval_s), Some(sync)) => Some(BleSync { interval_s, ..sync }),
-            (Some(interval_s), None) => Some(BleSync::nrf52(&BleRadio::default(), interval_s, 32)),
-            (None, sync) => sync,
-        };
-        if self.notify_j > 0.0 || sync.is_some() {
-            engine.add(Box::new(RadioComponent::new(
-                self.notify_j,
-                sync,
-                self.detection_spans,
-                batch_interval_s.is_some(),
-                &self.faults,
-                self.policy.backoff.map(|b| b.sync_stretch),
-            )));
-        }
-        if !self.contacts.is_empty() {
-            engine.add(Box::new(BleScanComponent::new(
-                self.contacts.clone(),
-                self.detection_spans,
-            )));
-        }
-        if self.trace_points > 0 {
-            engine.add(Box::new(SamplerComponent::new(
-                secs_to_us(self.env.duration_s()),
-                self.trace_points,
-            )));
-        }
-        let events = engine.run(sink);
+        let mut bracelet = Bracelet::new(self, &mut engine.state);
+        let events = engine.run(&mut bracelet, sink);
         let end_us = engine.now_us();
         let queue_high_water = engine.queue_high_water();
         let mut state = engine.state;
@@ -366,6 +322,145 @@ impl DeviceConfig {
     }
 }
 
+/// The bracelet's fixed component set and its event router (the wiring
+/// diagram at the top of this module).
+struct Bracelet {
+    faults: FaultComponent,
+    env: EnvComponent,
+    policy: PolicyComponent,
+    sensor: SensorComponent,
+    compute: ComputeComponent,
+    radio: Option<RadioComponent>,
+    scan: Option<BleScanComponent>,
+    sampler: Option<SamplerComponent>,
+}
+
+impl Bracelet {
+    /// Builds the components `cfg` asks for. Construction order is
+    /// load-slot registration order (which fixes the order the slots are
+    /// summed in), so it must not change.
+    fn new(cfg: &DeviceConfig, state: &mut DeviceState) -> Bracelet {
+        let faults =
+            FaultComponent::new(cfg.faults.clone(), cfg.sleep_floor_w, cfg.detection_spans);
+        let env = EnvComponent::new(&cfg.env, &cfg.solar, &cfg.teg);
+        let policy = PolicyComponent::new(cfg.policy);
+        let sensor = SensorComponent::new(
+            cfg.costs.acquisition_j,
+            cfg.costs.acquisition_s,
+            cfg.detection_spans,
+            state,
+        );
+        let compute = match (cfg.target_jobs, cfg.policy.targets) {
+            (Some(jobs), Some(rule)) => {
+                ComputeComponent::adaptive(jobs, rule, cfg.detection_spans, state)
+            }
+            _ => ComputeComponent::new(cfg.costs.compute, cfg.detection_spans, state),
+        };
+        // A duty-cycled policy always gets a radio: notifications are
+        // batched into the periodic sync burst even when `sync` is unset
+        // (a default nRF52 burst at the policy's interval).
+        let batch_interval_s = cfg.policy.sync_interval_s();
+        let sync = match (batch_interval_s, cfg.sync) {
+            (Some(interval_s), Some(sync)) => Some(BleSync { interval_s, ..sync }),
+            (Some(interval_s), None) => Some(BleSync::nrf52(&BleRadio::default(), interval_s, 32)),
+            (None, sync) => sync,
+        };
+        let radio = (cfg.notify_j > 0.0 || sync.is_some()).then(|| {
+            RadioComponent::new(
+                cfg.notify_j,
+                sync,
+                cfg.detection_spans,
+                batch_interval_s.is_some(),
+                &cfg.faults,
+                cfg.policy.backoff.map(|b| b.sync_stretch),
+                state,
+            )
+        });
+        let scan = (!cfg.contacts.is_empty())
+            .then(|| BleScanComponent::new(cfg.contacts.clone(), cfg.detection_spans, state));
+        let sampler = (cfg.trace_points > 0)
+            .then(|| SamplerComponent::new(secs_to_us(cfg.env.duration_s()), cfg.trace_points));
+        Bracelet {
+            faults,
+            env,
+            policy,
+            sensor,
+            compute,
+            radio,
+            scan,
+            sampler,
+        }
+    }
+}
+
+impl<S: TraceSink> Component<S> for Bracelet {
+    /// Schedules the initial events. The order fixes their sequence
+    /// numbers, which break same-timestamp ties.
+    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+        self.faults.start(ctx);
+        self.env.start(ctx);
+        self.policy.start(ctx);
+        if let Some(radio) = &self.radio {
+            radio.start(ctx);
+        }
+        if let Some(scan) = &self.scan {
+            scan.start(ctx);
+        }
+        if let Some(sampler) = &self.sampler {
+            sampler.start(ctx);
+        }
+    }
+
+    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+        // Fault-first: state flips (brownout, signal corruption, harvest
+        // derates) land before any same-timestamp policy or sensor read,
+        // which keeps runs order-deterministic.
+        self.faults.handle(ev, ctx);
+        match ev {
+            Event::FaultStart { .. } => self.sensor.fault_started(ctx),
+            Event::EnvSegment { index } => self.env.segment(index, ctx),
+            Event::PolicyTick => self.policy.tick(ctx),
+            Event::AcquireStart => self.sensor.acquire_start(ctx),
+            Event::AcquireEnd => self.sensor.acquire_end(ctx),
+            Event::ComputeStart => self.compute.dispatch(ctx),
+            Event::ComputeEnd { job } => {
+                self.compute.retire(job, ctx);
+                if let Some(radio) = &mut self.radio {
+                    radio.result_ready(ctx);
+                }
+            }
+            Event::BleSyncStart => {
+                if let Some(radio) = &mut self.radio {
+                    radio.sync_start(ctx);
+                }
+            }
+            Event::BleSyncEnd => {
+                if let Some(radio) = &mut self.radio {
+                    radio.sync_end(ctx);
+                }
+            }
+            Event::ContactStart { index } => {
+                if let Some(scan) = &mut self.scan {
+                    scan.contact_start(index, ctx);
+                }
+            }
+            Event::ContactEnd { index } => {
+                if let Some(scan) = &mut self.scan {
+                    scan.contact_end(index, ctx);
+                }
+            }
+            Event::Sample => {
+                if let Some(sampler) = &self.sampler {
+                    sampler.sample(ctx);
+                }
+            }
+            // Handled by the fault component alone; `End` stops the
+            // engine before it is dispatched.
+            Event::FaultEnd { .. } | Event::GaugeTick | Event::BrownoutRecover | Event::End => {}
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Components
 // ---------------------------------------------------------------------------
@@ -373,7 +468,7 @@ impl DeviceConfig {
 /// Plays an [`EnvProfile`] back: at each segment boundary it sets the
 /// battery-side intake of both harvesting chains, and it schedules
 /// [`Event::End`] at the profile's end.
-pub struct EnvComponent {
+pub(crate) struct EnvComponent {
     /// `(start_us, solar_w, teg_w)` per segment.
     segments: Vec<(u64, f64, f64)>,
     end_us: u64,
@@ -398,14 +493,8 @@ impl EnvComponent {
             end_us: secs_to_us(t_s),
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for EnvComponent {
-    fn name(&self) -> &'static str {
-        "environment"
-    }
-
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         // End is scheduled first: at a shared final timestamp it wins the
         // sequence tie-break, so no new work starts exactly at t_end.
         ctx.schedule_at(self.end_us, Event::End);
@@ -414,14 +503,13 @@ impl<S: TraceSink> Component<S> for EnvComponent {
         }
     }
 
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        if let Event::EnvSegment { index } = ev {
-            let (_, solar_w, teg_w) = self.segments[index];
-            ctx.state.solar_w = solar_w;
-            ctx.state.teg_w = teg_w;
-            if let Some(&(next_us, ..)) = self.segments.get(index + 1) {
-                ctx.schedule_at(next_us, Event::EnvSegment { index: index + 1 });
-            }
+    /// [`Event::EnvSegment`]: applies segment `index`'s intakes.
+    fn segment<S: TraceSink>(&self, index: usize, ctx: &mut SimCtx<'_, S>) {
+        let (_, solar_w, teg_w) = self.segments[index];
+        ctx.state.solar_w = solar_w;
+        ctx.state.teg_w = teg_w;
+        if let Some(&(next_us, ..)) = self.segments.get(index + 1) {
+            ctx.schedule_at(next_us, Event::EnvSegment { index: index + 1 });
         }
     }
 }
@@ -440,7 +528,7 @@ const HARVEST_EWMA_ALPHA: f64 = 0.1;
 /// its energy is saved; the tick keeps re-arming at the backoff's
 /// re-check cadence, so acquisition always resumes once the fault
 /// clears.
-pub struct PolicyComponent {
+pub(crate) struct PolicyComponent {
     policy: PolicySpec,
     idle_recheck_us: u64,
     min_interval_us: u64,
@@ -458,21 +546,13 @@ impl PolicyComponent {
             min_interval_us: 1_000,
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for PolicyComponent {
-    fn name(&self) -> &'static str {
-        "policy"
-    }
-
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         ctx.schedule_at(0, Event::PolicyTick);
     }
 
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        if ev != Event::PolicyTick {
-            return;
-        }
+    /// [`Event::PolicyTick`]: evaluates the policy.
+    fn tick<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         // Maintain the trailing harvest forecast on every evaluation, so
         // it is a pure function of the (deterministic) event sequence.
         ctx.state.harvest_avg_w = HARVEST_EWMA_ALPHA * ctx.state.intake_w()
@@ -512,21 +592,27 @@ impl<S: TraceSink> Component<S> for PolicyComponent {
 /// unless a signal-corrupting fault (lead-off, motion artifact, GSR
 /// detach) overlapped the window, in which case the acquisition energy is
 /// still paid but classification is skipped (signal-quality gating).
-pub struct SensorComponent {
+pub(crate) struct SensorComponent {
     energy_j: f64,
     window_us: u64,
     unit_power_w: f64,
     trace_spans: bool,
-    slot: Option<LoadSlot>,
+    slot: LoadSlot,
     active: u32,
     /// Open windows: `(start_us, corrupted)`.
     starts: VecDeque<(u64, bool)>,
 }
 
 impl SensorComponent {
-    /// A front-end pair drawing `energy_j` over each `window_s` window.
+    /// A front-end pair drawing `energy_j` over each `window_s` window,
+    /// with its load slot registered in `state`.
     #[must_use]
-    pub fn new(energy_j: f64, window_s: f64, trace_spans: bool) -> SensorComponent {
+    pub fn new(
+        energy_j: f64,
+        window_s: f64,
+        trace_spans: bool,
+        state: &mut DeviceState,
+    ) -> SensorComponent {
         let window_us = secs_to_us(window_s);
         SensorComponent {
             energy_j,
@@ -537,70 +623,62 @@ impl SensorComponent {
                 0.0
             },
             trace_spans,
-            slot: None,
+            slot: state.register_load("afe"),
             active: 0,
             starts: VecDeque::new(),
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for SensorComponent {
-    fn name(&self) -> &'static str {
-        "sensors"
+    /// [`Event::AcquireStart`]: opens a window.
+    fn acquire_start<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if self.window_us == 0 {
+            // Degenerate window: the energy is an impulse.
+            ctx.consume_j(self.energy_j);
+        } else {
+            self.active += 1;
+            ctx.state
+                .set_load(self.slot, f64::from(self.active) * self.unit_power_w);
+        }
+        self.starts
+            .push_back((ctx.now_us, ctx.state.signal_faults > 0));
+        ctx.schedule_in(self.window_us, Event::AcquireEnd);
     }
 
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("afe"));
+    /// [`Event::FaultStart`], after the fault component applied it.
+    fn fault_started<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if ctx.state.signal_faults > 0 {
+            // A signal-corrupting fault opened mid-window (the fault
+            // component runs first, so the flag is already set): every
+            // currently open window is now unusable.
+            for open in &mut self.starts {
+                open.1 = true;
+            }
+        }
     }
 
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::AcquireStart => {
-                if self.window_us == 0 {
-                    // Degenerate window: the energy is an impulse.
-                    ctx.consume_j(self.energy_j);
-                } else {
-                    self.active += 1;
-                    ctx.state
-                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
-                }
-                self.starts
-                    .push_back((ctx.now_us, ctx.state.signal_faults > 0));
-                ctx.schedule_in(self.window_us, Event::AcquireEnd);
+    /// [`Event::AcquireEnd`]: closes the oldest window and dispatches
+    /// its classification unless the window was corrupted.
+    fn acquire_end<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if self.window_us > 0 {
+            self.active -= 1;
+            ctx.state
+                .set_load(self.slot, f64::from(self.active) * self.unit_power_w);
+        }
+        let (started, corrupt) = self.starts.pop_front().expect("balanced windows");
+        if S::ENABLED && self.trace_spans {
+            let track = ctx.tracks.device;
+            ctx.sink.span(track, "acquire", started, ctx.now_us);
+        }
+        if corrupt {
+            // Signal-quality gate: the window's energy is spent but its
+            // samples are garbage — skip classification.
+            ctx.state.reliability.degraded_windows += 1;
+            if S::ENABLED && self.trace_spans {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "acq-gated", ctx.now_us);
             }
-            Event::FaultStart { .. } if ctx.state.signal_faults > 0 => {
-                // A signal-corrupting fault opened mid-window (the fault
-                // component runs first, so the flag is already set):
-                // every currently open window is now unusable.
-                for open in &mut self.starts {
-                    open.1 = true;
-                }
-            }
-            Event::AcquireEnd => {
-                if self.window_us > 0 {
-                    self.active -= 1;
-                    ctx.state
-                        .set_load(slot, f64::from(self.active) * self.unit_power_w);
-                }
-                let (started, corrupt) = self.starts.pop_front().expect("balanced windows");
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.span(track, "acquire", started, ctx.now_us);
-                }
-                if corrupt {
-                    // Signal-quality gate: the window's energy is spent
-                    // but its samples are garbage — skip classification.
-                    ctx.state.reliability.degraded_windows += 1;
-                    if S::ENABLED && self.trace_spans {
-                        let track = ctx.tracks.device;
-                        ctx.sink.instant(track, "acq-gated", ctx.now_us);
-                    }
-                } else {
-                    ctx.schedule_in(0, Event::ComputeStart);
-                }
-            }
-            _ => {}
+        } else {
+            ctx.schedule_in(0, Event::ComputeStart);
         }
     }
 }
@@ -618,26 +696,27 @@ impl<S: TraceSink> Component<S> for SensorComponent {
 /// may retire out of dispatch order, so [`Event::ComputeEnd`] carries
 /// the job-slot index; within one slot every job has the same duration,
 /// so per-slot FIFO start matching stays exact.
-pub struct ComputeComponent {
+pub(crate) struct ComputeComponent {
     jobs: Vec<ComputeJob>,
     durations_us: Vec<u64>,
     targets: Option<TargetRule>,
     trace_spans: bool,
-    slot: Option<LoadSlot>,
+    slot: LoadSlot,
     active: Vec<u32>,
     starts: Vec<VecDeque<u64>>,
 }
 
 impl ComputeComponent {
-    /// A single compute target running `job` per detection.
+    /// A single compute target running `job` per detection, with its
+    /// load slot registered in `state`.
     #[must_use]
-    pub fn new(job: ComputeJob, trace_spans: bool) -> ComputeComponent {
+    pub fn new(job: ComputeJob, trace_spans: bool, state: &mut DeviceState) -> ComputeComponent {
         ComputeComponent {
             jobs: vec![job],
             durations_us: vec![secs_to_us(job.duration_s)],
             targets: None,
             trace_spans,
-            slot: None,
+            slot: state.register_load("compute"),
             active: vec![0],
             starts: vec![VecDeque::new()],
         }
@@ -650,13 +729,14 @@ impl ComputeComponent {
         jobs: [ComputeJob; 3],
         rule: TargetRule,
         trace_spans: bool,
+        state: &mut DeviceState,
     ) -> ComputeComponent {
         ComputeComponent {
             durations_us: jobs.iter().map(|j| secs_to_us(j.duration_s)).collect(),
             jobs: jobs.to_vec(),
             targets: Some(rule),
             trace_spans,
-            slot: None,
+            slot: state.register_load("compute"),
             active: vec![0; 3],
             starts: vec![VecDeque::new(); 3],
         }
@@ -672,60 +752,47 @@ impl ComputeComponent {
             .map(|(&n, job)| f64::from(n) * job.power_w())
             .sum()
     }
-}
 
-impl<S: TraceSink> Component<S> for ComputeComponent {
-    fn name(&self) -> &'static str {
-        "compute"
-    }
-
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("compute"));
-    }
-
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::ComputeStart => {
-                let job = match self.targets {
-                    Some(rule) => {
-                        let class = rule.select(
-                            ctx.state.observed_soc(),
-                            ctx.state.queue_depth,
-                            ctx.state.harvest_avg_w,
-                        );
-                        ctx.state.target_counts[class.index()] += 1;
-                        if S::ENABLED && self.trace_spans {
-                            let track = ctx.tracks.device;
-                            ctx.sink.instant(track, class.label(), ctx.now_us);
-                        }
-                        class.index()
-                    }
-                    None => 0,
-                };
-                if self.durations_us[job] == 0 {
-                    ctx.consume_j(self.jobs[job].energy_j);
-                } else {
-                    self.active[job] += 1;
-                    ctx.state.set_load(slot, self.load_w());
-                }
-                self.starts[job].push_back(ctx.now_us);
-                ctx.schedule_in(self.durations_us[job], Event::ComputeEnd { job });
-            }
-            Event::ComputeEnd { job } => {
-                if self.durations_us[job] > 0 {
-                    self.active[job] -= 1;
-                    ctx.state.set_load(slot, self.load_w());
-                }
-                let started = self.starts[job].pop_front().expect("balanced jobs");
+    /// [`Event::ComputeStart`]: picks the job slot and starts a job.
+    fn dispatch<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let job = match self.targets {
+            Some(rule) => {
+                let class = rule.select(
+                    ctx.state.observed_soc(),
+                    ctx.state.queue_depth,
+                    ctx.state.harvest_avg_w,
+                );
+                ctx.state.target_counts[class.index()] += 1;
                 if S::ENABLED && self.trace_spans {
                     let track = ctx.tracks.device;
-                    ctx.sink.span(track, "compute", started, ctx.now_us);
+                    ctx.sink.instant(track, class.label(), ctx.now_us);
                 }
-                ctx.state.detections += 1;
+                class.index()
             }
-            _ => {}
+            None => 0,
+        };
+        if self.durations_us[job] == 0 {
+            ctx.consume_j(self.jobs[job].energy_j);
+        } else {
+            self.active[job] += 1;
+            ctx.state.set_load(self.slot, self.load_w());
         }
+        self.starts[job].push_back(ctx.now_us);
+        ctx.schedule_in(self.durations_us[job], Event::ComputeEnd { job });
+    }
+
+    /// [`Event::ComputeEnd`]: retires the oldest job of slot `job`.
+    fn retire<S: TraceSink>(&mut self, job: usize, ctx: &mut SimCtx<'_, S>) {
+        if self.durations_us[job] > 0 {
+            self.active[job] -= 1;
+            ctx.state.set_load(self.slot, self.load_w());
+        }
+        let started = self.starts[job].pop_front().expect("balanced jobs");
+        if S::ENABLED && self.trace_spans {
+            let track = ctx.tracks.device;
+            ctx.sink.span(track, "compute", started, ctx.now_us);
+        }
+        ctx.state.detections += 1;
     }
 }
 
@@ -741,7 +808,7 @@ impl<S: TraceSink> Component<S> for ComputeComponent {
 /// notifications are suppressed; results accumulate and their
 /// notification energy is flushed on the next *successful* sync (dropped
 /// episodes carry the backlog forward).
-pub struct RadioComponent {
+pub(crate) struct RadioComponent {
     notify_j: f64,
     sync: Option<BleSync>,
     trace_spans: bool,
@@ -753,7 +820,7 @@ pub struct RadioComponent {
     attempt: u32,
     pending: u64,
     sync_stretch: Option<f64>,
-    slot: Option<LoadSlot>,
+    slot: LoadSlot,
     burst_started_us: u64,
 }
 
@@ -766,7 +833,8 @@ impl RadioComponent {
     /// multiplies the next sync interval whenever the episode resolves
     /// with the link still looking dead — the gateway unreachable, or
     /// the episode dropped after its whole retry budget — spending
-    /// fewer bursts into a dead link.
+    /// fewer bursts into a dead link. The load slot is registered in
+    /// `state`.
     #[must_use]
     pub fn new(
         notify_j: f64,
@@ -775,6 +843,7 @@ impl RadioComponent {
         batch: bool,
         plan: &FaultPlan,
         sync_stretch: Option<f64>,
+        state: &mut DeviceState,
     ) -> RadioComponent {
         RadioComponent {
             notify_j,
@@ -788,128 +857,123 @@ impl RadioComponent {
             attempt: 0,
             pending: 0,
             sync_stretch,
-            slot: None,
+            slot: state.register_load("ble"),
             burst_started_us: 0,
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for RadioComponent {
-    fn name(&self) -> &'static str {
-        "radio"
-    }
-
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("ble"));
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         if let Some(sync) = self.sync {
             ctx.schedule_in(secs_to_us(sync.interval_s), Event::BleSyncStart);
         }
     }
 
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::ComputeEnd { .. } if self.batch => {
-                // Duty-cycled: the result queues for the next sync. The
-                // backlog is mirrored into the shared state so adaptive
-                // policies can read the queue depth.
-                self.pending += 1;
-                ctx.state.queue_depth = self.pending;
+    /// [`Event::ComputeEnd`], after the compute component retired the
+    /// detection: notifies the result, or queues it when batching.
+    fn result_ready<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        if self.batch {
+            // Duty-cycled: the result queues for the next sync. The
+            // backlog is mirrored into the shared state so adaptive
+            // policies can read the queue depth.
+            self.pending += 1;
+            ctx.state.queue_depth = self.pending;
+        } else if self.notify_j > 0.0 {
+            ctx.consume_j(self.notify_j);
+            ctx.state.notifications += 1;
+            if S::ENABLED && self.trace_spans {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "notify", ctx.now_us);
             }
-            Event::ComputeEnd { .. } if self.notify_j > 0.0 => {
-                ctx.consume_j(self.notify_j);
-                ctx.state.notifications += 1;
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.instant(track, "notify", ctx.now_us);
-                }
-            }
-            Event::BleSyncStart => {
-                let sync = self.sync.expect("sync configured");
-                ctx.state.set_load(slot, sync.power_w);
-                self.burst_started_us = ctx.now_us;
-                ctx.schedule_in(secs_to_us(sync.burst_s), Event::BleSyncEnd);
-            }
-            Event::BleSyncEnd => {
-                let sync = self.sync.expect("sync configured");
-                ctx.state.set_load(slot, 0.0);
-                ctx.state.sync_bursts += 1;
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink
-                        .span(track, "ble-sync", self.burst_started_us, ctx.now_us);
-                }
-                // A scenario-compiled gateway outage forces the loss
-                // without consuming a draw from the per-attempt loss
-                // stream, so runs with and without outage windows stay
-                // aligned outside them.
-                let lost = ctx.state.gateway_down > 0
-                    || (self.loss_prob > 0.0 && self.rng.chance(self.loss_prob));
-                if lost {
-                    ctx.state.faults.add(FaultKind::BleLoss);
-                    if self.attempt < self.max_retries {
-                        self.attempt += 1;
-                        if S::ENABLED && self.trace_spans {
-                            let track = ctx.tracks.device;
-                            ctx.sink.instant(track, "sync-retry", ctx.now_us);
-                        }
-                        let backoff = self.backoff_us << (self.attempt - 1);
-                        ctx.state.sync_backoff_us.record(backoff);
-                        ctx.schedule_in(backoff, Event::BleSyncStart);
-                        return;
-                    }
-                    // Retry budget exhausted: the episode is dropped; a
-                    // batched backlog stays pending for the next interval.
-                    ctx.state.reliability.record_sync(SyncOutcome::Dropped);
-                    if S::ENABLED && self.trace_spans {
-                        let track = ctx.tracks.device;
-                        ctx.sink.instant(track, "sync-drop", ctx.now_us);
-                    }
-                } else {
-                    let outcome = if self.attempt > 0 {
-                        SyncOutcome::Retried
-                    } else {
-                        SyncOutcome::Ok
-                    };
-                    ctx.state.reliability.record_sync(outcome);
-                    if self.batch && self.pending > 0 {
-                        // Flush the backlog: one notification impulse per
-                        // queued result, delivered inside this burst.
-                        ctx.consume_j(self.pending as f64 * self.notify_j);
-                        ctx.state.notifications += self.pending;
-                        self.pending = 0;
-                        ctx.state.queue_depth = 0;
-                    }
-                    if ctx.state.pending_contacts > 0 {
-                        // Queued contact observations ride the same
-                        // successful burst, one notification-sized
-                        // impulse each.
-                        ctx.consume_j(ctx.state.pending_contacts as f64 * self.notify_j);
-                        ctx.state.contacts_uplinked += ctx.state.pending_contacts;
-                        ctx.state.pending_contacts = 0;
-                    }
-                }
-                // Episode resolved (delivered or dropped): its attempt
-                // count feeds the fleet retry histogram.
-                ctx.state.sync_attempts.record(u64::from(self.attempt) + 1);
-                self.attempt = 0;
-                let mut interval_s = (sync.interval_s - sync.burst_s).max(0.0);
-                if let Some(stretch) = self.sync_stretch {
-                    // Fault-aware backoff: the link looks dead — a
-                    // scenario gateway outage is still open, or this
-                    // episode just exhausted its retry budget — so
-                    // stretch the cadence instead of burning the next
-                    // burst into the same dead link. `lost` here can
-                    // only mean "dropped": the retry path returned.
-                    if ctx.state.gateway_down > 0 || lost {
-                        interval_s *= stretch;
-                        ctx.state.sync_stretches += 1;
-                    }
-                }
-                ctx.schedule_in(secs_to_us(interval_s), Event::BleSyncStart);
-            }
-            _ => {}
         }
+    }
+
+    /// [`Event::BleSyncStart`]: keys the radio on for one burst.
+    fn sync_start<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let sync = self.sync.expect("sync configured");
+        ctx.state.set_load(self.slot, sync.power_w);
+        self.burst_started_us = ctx.now_us;
+        ctx.schedule_in(secs_to_us(sync.burst_s), Event::BleSyncEnd);
+    }
+
+    /// [`Event::BleSyncEnd`]: resolves the attempt — retry with backoff,
+    /// drop the episode, or deliver — and schedules the next burst.
+    fn sync_end<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+        let sync = self.sync.expect("sync configured");
+        ctx.state.set_load(self.slot, 0.0);
+        ctx.state.sync_bursts += 1;
+        if S::ENABLED && self.trace_spans {
+            let track = ctx.tracks.device;
+            ctx.sink
+                .span(track, "ble-sync", self.burst_started_us, ctx.now_us);
+        }
+        // A scenario-compiled gateway outage forces the loss
+        // without consuming a draw from the per-attempt loss
+        // stream, so runs with and without outage windows stay
+        // aligned outside them.
+        let lost =
+            ctx.state.gateway_down > 0 || (self.loss_prob > 0.0 && self.rng.chance(self.loss_prob));
+        if lost {
+            ctx.state.faults.add(FaultKind::BleLoss);
+            if self.attempt < self.max_retries {
+                self.attempt += 1;
+                if S::ENABLED && self.trace_spans {
+                    let track = ctx.tracks.device;
+                    ctx.sink.instant(track, "sync-retry", ctx.now_us);
+                }
+                let backoff = self.backoff_us << (self.attempt - 1);
+                ctx.state.sync_backoff_us.record(backoff);
+                ctx.schedule_in(backoff, Event::BleSyncStart);
+                return;
+            }
+            // Retry budget exhausted: the episode is dropped; a
+            // batched backlog stays pending for the next interval.
+            ctx.state.reliability.record_sync(SyncOutcome::Dropped);
+            if S::ENABLED && self.trace_spans {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "sync-drop", ctx.now_us);
+            }
+        } else {
+            let outcome = if self.attempt > 0 {
+                SyncOutcome::Retried
+            } else {
+                SyncOutcome::Ok
+            };
+            ctx.state.reliability.record_sync(outcome);
+            if self.batch && self.pending > 0 {
+                // Flush the backlog: one notification impulse per
+                // queued result, delivered inside this burst.
+                ctx.consume_j(self.pending as f64 * self.notify_j);
+                ctx.state.notifications += self.pending;
+                self.pending = 0;
+                ctx.state.queue_depth = 0;
+            }
+            if ctx.state.pending_contacts > 0 {
+                // Queued contact observations ride the same
+                // successful burst, one notification-sized
+                // impulse each.
+                ctx.consume_j(ctx.state.pending_contacts as f64 * self.notify_j);
+                ctx.state.contacts_uplinked += ctx.state.pending_contacts;
+                ctx.state.pending_contacts = 0;
+            }
+        }
+        // Episode resolved (delivered or dropped): its attempt
+        // count feeds the fleet retry histogram.
+        ctx.state.sync_attempts.record(u64::from(self.attempt) + 1);
+        self.attempt = 0;
+        let mut interval_s = (sync.interval_s - sync.burst_s).max(0.0);
+        if let Some(stretch) = self.sync_stretch {
+            // Fault-aware backoff: the link looks dead — a
+            // scenario gateway outage is still open, or this
+            // episode just exhausted its retry budget — so
+            // stretch the cadence instead of burning the next
+            // burst into the same dead link. `lost` here can
+            // only mean "dropped": the retry path returned.
+            if ctx.state.gateway_down > 0 || lost {
+                interval_s *= stretch;
+                ctx.state.sync_stretches += 1;
+            }
+        }
+        ctx.schedule_in(secs_to_us(interval_s), Event::BleSyncStart);
     }
 }
 
@@ -924,11 +988,11 @@ impl<S: TraceSink> Component<S> for RadioComponent {
 /// finish — is a *missed* contact; the epidemic fold never sees its
 /// edge, so detection coverage degrades exactly where the power model
 /// says the device was down.
-pub struct BleScanComponent {
+pub(crate) struct BleScanComponent {
     plan: ContactPlan,
     scan_power_w: f64,
     trace_spans: bool,
-    slot: Option<LoadSlot>,
+    slot: LoadSlot,
     active: u32,
     /// Per-entry flag: did this contact's scan actually open?
     opened: Vec<bool>,
@@ -936,15 +1000,15 @@ pub struct BleScanComponent {
 
 impl BleScanComponent {
     /// A scanner for `plan`, drawing the shared-table nRF52 scan power
-    /// while windows are open.
+    /// through a load slot registered in `state` while windows are open.
     #[must_use]
-    pub fn new(plan: ContactPlan, trace_spans: bool) -> BleScanComponent {
+    pub fn new(plan: ContactPlan, trace_spans: bool, state: &mut DeviceState) -> BleScanComponent {
         let opened = vec![false; plan.entries.len()];
         BleScanComponent {
             plan,
             scan_power_w: iw_power::nrf52::scan_power_w(),
             trace_spans,
-            slot: None,
+            slot: state.register_load("scan"),
             active: 0,
             opened,
         }
@@ -956,15 +1020,8 @@ impl BleScanComponent {
         let e = self.plan.entries[index];
         secs_to_us(iw_power::nrf52::SCAN_WINDOW_S).min(e.end_us.saturating_sub(e.start_us))
     }
-}
 
-impl<S: TraceSink> Component<S> for BleScanComponent {
-    fn name(&self) -> &'static str {
-        "ble-scan"
-    }
-
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
-        self.slot = Some(ctx.state.register_load("scan"));
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         if !self.plan.entries.is_empty() {
             ctx.schedule_at(
                 self.plan.entries[0].start_us,
@@ -973,56 +1030,55 @@ impl<S: TraceSink> Component<S> for BleScanComponent {
         }
     }
 
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        let slot = self.slot.expect("started");
-        match ev {
-            Event::ContactStart { index } => {
-                // Chained scheduling, same shape as the fault plan: the
-                // next window is armed regardless of this one's fate.
-                if index + 1 < self.plan.entries.len() {
-                    ctx.schedule_at(
-                        self.plan.entries[index + 1].start_us,
-                        Event::ContactStart { index: index + 1 },
-                    );
-                }
-                if !ctx.state.acquisition_enabled {
-                    // Browned out: the peer passed by unseen.
-                    ctx.state.contacts_missed += 1;
-                    return;
-                }
-                self.opened[index] = true;
-                self.active += 1;
-                ctx.state
-                    .set_load(slot, f64::from(self.active) * self.scan_power_w);
-                ctx.schedule_in(self.scan_us(index), Event::ContactEnd { index });
+    /// [`Event::ContactStart`]: arms the next window and opens this
+    /// one's scan if the device is up.
+    fn contact_start<S: TraceSink>(&mut self, index: usize, ctx: &mut SimCtx<'_, S>) {
+        // Chained scheduling, same shape as the fault plan: the next
+        // window is armed regardless of this one's fate.
+        if index + 1 < self.plan.entries.len() {
+            ctx.schedule_at(
+                self.plan.entries[index + 1].start_us,
+                Event::ContactStart { index: index + 1 },
+            );
+        }
+        if !ctx.state.acquisition_enabled {
+            // Browned out: the peer passed by unseen.
+            ctx.state.contacts_missed += 1;
+            return;
+        }
+        self.opened[index] = true;
+        self.active += 1;
+        ctx.state
+            .set_load(self.slot, f64::from(self.active) * self.scan_power_w);
+        ctx.schedule_in(self.scan_us(index), Event::ContactEnd { index });
+    }
+
+    /// [`Event::ContactEnd`]: closes the scan and records the edge (or
+    /// the miss).
+    fn contact_end<S: TraceSink>(&mut self, index: usize, ctx: &mut SimCtx<'_, S>) {
+        debug_assert!(self.opened[index], "scan end without start");
+        self.active -= 1;
+        ctx.state
+            .set_load(self.slot, f64::from(self.active) * self.scan_power_w);
+        let entry = self.plan.entries[index];
+        let dur_us = self.scan_us(index);
+        ctx.state.scan_energy_j += self.scan_power_w * dur_us as f64 * 1e-6;
+        if S::ENABLED && self.trace_spans {
+            let track = ctx.tracks.device;
+            ctx.sink.span(track, "scan", entry.start_us, ctx.now_us);
+        }
+        if ctx.state.acquisition_enabled {
+            let epoch = (entry.start_us / self.plan.epoch_us.max(1)) as u32;
+            ctx.state.contact_edges.push((epoch, entry.peer));
+            ctx.state.contacts_observed += 1;
+            ctx.state.pending_contacts += 1;
+            if S::ENABLED && self.trace_spans {
+                let track = ctx.tracks.device;
+                ctx.sink.instant(track, "contact", ctx.now_us);
             }
-            Event::ContactEnd { index } => {
-                debug_assert!(self.opened[index], "scan end without start");
-                self.active -= 1;
-                ctx.state
-                    .set_load(slot, f64::from(self.active) * self.scan_power_w);
-                let entry = self.plan.entries[index];
-                let dur_us = self.scan_us(index);
-                ctx.state.scan_energy_j += self.scan_power_w * dur_us as f64 * 1e-6;
-                if S::ENABLED && self.trace_spans {
-                    let track = ctx.tracks.device;
-                    ctx.sink.span(track, "scan", entry.start_us, ctx.now_us);
-                }
-                if ctx.state.acquisition_enabled {
-                    let epoch = (entry.start_us / self.plan.epoch_us.max(1)) as u32;
-                    ctx.state.contact_edges.push((epoch, entry.peer));
-                    ctx.state.contacts_observed += 1;
-                    ctx.state.pending_contacts += 1;
-                    if S::ENABLED && self.trace_spans {
-                        let track = ctx.tracks.device;
-                        ctx.sink.instant(track, "contact", ctx.now_us);
-                    }
-                } else {
-                    // Browned out mid-scan: energy spent, contact lost.
-                    ctx.state.contacts_missed += 1;
-                }
-            }
-            _ => {}
+        } else {
+            // Browned out mid-scan: energy spent, contact lost.
+            ctx.state.contacts_missed += 1;
         }
     }
 }
@@ -1031,7 +1087,7 @@ impl<S: TraceSink> Component<S> for BleScanComponent {
 /// [`crate::engine::DeviceState::trace`] and, when tracing, mirrors each
 /// sample as counters on the `harvest` track (second ticks, same names
 /// the fixed-timestep simulator used).
-pub struct SamplerComponent {
+pub(crate) struct SamplerComponent {
     interval_us: u64,
 }
 
@@ -1043,21 +1099,13 @@ impl SamplerComponent {
             interval_us: (duration_us / points.max(1) as u64).max(1),
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for SamplerComponent {
-    fn name(&self) -> &'static str {
-        "sampler"
-    }
-
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+    fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         ctx.schedule_at(0, Event::Sample);
     }
 
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
-        if ev != Event::Sample {
-            return;
-        }
+    /// [`Event::Sample`]: records one point and schedules the next.
+    fn sample<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         let point = TracePoint {
             t_s: ctx.now_s(),
             soc: ctx.state.battery.soc(),

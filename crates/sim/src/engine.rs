@@ -6,8 +6,13 @@
 //! Time is a monotone `u64` microsecond counter ([`SimClock`]). Components
 //! schedule [`Event`]s into a binary-heap queue; ties are broken by a
 //! scheduling sequence number, so a run is a deterministic function of the
-//! initial component state — independent of component iteration order or
-//! host thread count.
+//! initial component state — independent of host thread count.
+//!
+//! The engine drives one *root* component. It hands every event to the
+//! root's [`Component::handle`], and the root routes it to the parts that
+//! react, with a static `match` over the closed event set (the bracelet's
+//! router is in `device.rs`). There is no per-event broadcast and no
+//! dynamic dispatch.
 //!
 //! Between two consecutive events every power contribution is constant:
 //! the harvest intake set by the environment component and the load
@@ -70,9 +75,11 @@ impl SimClock {
 
 /// The closed event vocabulary of the whole-device simulation.
 ///
-/// Components communicate exclusively through these events (every event is
-/// broadcast to every component), so the wiring between environment,
-/// policy, sensors, compute and radio is visible in one place.
+/// Components communicate exclusively through these events and the shared
+/// [`DeviceState`]. The root component routes each event to the
+/// components that react to it with an exhaustive `match`, so the wiring
+/// between environment, policy, sensors, compute and radio is visible in
+/// one place, and a new variant does not compile until it is routed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Event {
     /// The environment entered segment `index` of its profile.
@@ -350,8 +357,8 @@ impl DeviceState {
     }
 }
 
-/// Track handles the engine registers once per run and hands to every
-/// component through [`SimCtx`].
+/// Track handles the engine registers once per run and hands to the
+/// root component through [`SimCtx`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Tracks {
     /// Device activity track (spans/instants), microsecond ticks.
@@ -416,15 +423,12 @@ impl<S: TraceSink> SimCtx<'_, S> {
     }
 }
 
-/// One piece of the simulated device. Every event is broadcast to every
-/// component; a component reacts to the events it cares about and ignores
-/// the rest.
+/// The root of a simulated device, driven by [`Engine::run`]. The engine
+/// hands it every event; the root reacts itself or routes the event to
+/// the parts it owns.
 pub trait Component<S: TraceSink> {
-    /// Name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Called once before the first event: register load slots and
-    /// schedule the component's initial events.
+    /// schedule the initial events.
     fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
         let _ = ctx;
     }
@@ -433,10 +437,10 @@ pub trait Component<S: TraceSink> {
     fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>);
 }
 
-/// The discrete-event engine: owns the clock, the queue, the shared state
-/// and the components, and runs events until [`Event::End`] (or until a
-/// component calls [`SimCtx::stop`]).
-pub struct Engine<S: TraceSink> {
+/// The discrete-event engine: owns the clock, the queue and the shared
+/// state, and runs a root [`Component`] until [`Event::End`] (or until it
+/// calls [`SimCtx::stop`]).
+pub struct Engine {
     /// The shared device state (read the results out of here after
     /// [`Engine::run`]).
     pub state: DeviceState,
@@ -445,13 +449,12 @@ pub struct Engine<S: TraceSink> {
     seq: u64,
     events_processed: u64,
     queue_high_water: u64,
-    components: Vec<Box<dyn Component<S>>>,
 }
 
-impl<S: TraceSink> Engine<S> {
-    /// A fresh engine around `battery` with no components.
+impl Engine {
+    /// A fresh engine around `battery`.
     #[must_use]
-    pub fn new(battery: Battery) -> Engine<S> {
+    pub fn new(battery: Battery) -> Engine {
         Engine {
             state: DeviceState::new(battery),
             clock: SimClock::default(),
@@ -459,15 +462,7 @@ impl<S: TraceSink> Engine<S> {
             seq: 0,
             events_processed: 0,
             queue_high_water: 0,
-            components: Vec::new(),
         }
-    }
-
-    /// Adds a component. Broadcast order is insertion order, but the
-    /// simulation result must never depend on it — components interact
-    /// only through scheduled events and the shared state.
-    pub fn add(&mut self, component: Box<dyn Component<S>>) {
-        self.components.push(component);
     }
 
     /// Events processed so far (the fleet throughput metric).
@@ -478,7 +473,7 @@ impl<S: TraceSink> Engine<S> {
 
     /// High-water mark of the event-queue depth across the run so far.
     /// Components only push during dispatch (they cannot pop), so
-    /// sampling the depth after each broadcast captures the true peak.
+    /// sampling the depth after each dispatch captures the true peak.
     #[must_use]
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water
@@ -490,16 +485,14 @@ impl<S: TraceSink> Engine<S> {
         self.clock.now_us()
     }
 
-    /// Runs to completion: pops events in (time, sequence) order,
-    /// integrates the battery over each inter-event gap, and broadcasts
-    /// each event to every component. Returns the number of events
-    /// processed.
-    pub fn run(&mut self, sink: &mut S) -> u64 {
+    /// Runs `root` to completion: pops events in (time, sequence) order,
+    /// integrates the battery over each inter-event gap, and hands each
+    /// event to `root`. Returns the number of events processed.
+    pub fn run<S: TraceSink>(&mut self, root: &mut impl Component<S>, sink: &mut S) -> u64 {
         let tracks = Tracks {
             device: sink.track("device", 1.0),
             harvest: sink.track("harvest", 1e-6),
         };
-        let mut components = std::mem::take(&mut self.components);
         let mut stopped = false;
         {
             let mut ctx = SimCtx {
@@ -511,9 +504,7 @@ impl<S: TraceSink> Engine<S> {
                 seq: &mut self.seq,
                 stopped: &mut stopped,
             };
-            for c in &mut components {
-                c.start(&mut ctx);
-            }
+            root.start(&mut ctx);
         }
         self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
         while let Some(Reverse(scheduled)) = self.queue.pop() {
@@ -532,29 +523,22 @@ impl<S: TraceSink> Engine<S> {
                 seq: &mut self.seq,
                 stopped: &mut stopped,
             };
-            for c in &mut components {
-                c.handle(scheduled.ev, &mut ctx);
-            }
+            root.handle(scheduled.ev, &mut ctx);
             self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
             if stopped {
                 break;
             }
         }
-        self.components = components;
         self.events_processed
     }
 }
 
-impl<S: TraceSink> std::fmt::Debug for Engine<S> {
+impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now_us", &self.clock.now_us())
             .field("queued", &self.queue.len())
             .field("events_processed", &self.events_processed)
-            .field(
-                "components",
-                &self.components.iter().map(|c| c.name()).collect::<Vec<_>>(),
-            )
             .finish_non_exhaustive()
     }
 }
@@ -572,9 +556,6 @@ mod tests {
     }
 
     impl<S: TraceSink> Component<S> for ConstantLoad {
-        fn name(&self) -> &'static str {
-            "constant-load"
-        }
         fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
             let slot = ctx.state.register_load("constant");
             ctx.state.set_load(slot, self.power_w);
@@ -588,13 +569,13 @@ mod tests {
     fn integrates_power_exactly_between_events() {
         let mut battery = Battery::new(100.0);
         battery.set_soc(0.5);
-        let mut engine: Engine<NoopSink> = Engine::new(battery);
-        engine.add(Box::new(ConstantLoad {
+        let mut engine = Engine::new(battery);
+        let mut load = ConstantLoad {
             power_w: 1e-3,
             duration_us: secs_to_us(1000.0),
             slot: None,
-        }));
-        engine.run(&mut NoopSink);
+        };
+        engine.run(&mut load, &mut NoopSink);
         // 1 mW × 1000 s = 1 J, no harvest.
         assert!((engine.state.consumed_j - 1.0).abs() < 1e-12);
         assert!((engine.state.battery.charge_j() - 49.0).abs() < 1e-12);
@@ -606,13 +587,13 @@ mod tests {
     fn brown_out_drains_and_continues() {
         let mut battery = Battery::new(1.0);
         battery.set_soc(0.1);
-        let mut engine: Engine<NoopSink> = Engine::new(battery);
-        engine.add(Box::new(ConstantLoad {
+        let mut engine = Engine::new(battery);
+        let mut load = ConstantLoad {
             power_w: 1.0,
             duration_us: secs_to_us(10.0),
             slot: None,
-        }));
-        engine.run(&mut NoopSink);
+        };
+        engine.run(&mut load, &mut NoopSink);
         assert!(engine.state.browned_out);
         assert!((engine.state.consumed_j - 0.1).abs() < 1e-12);
         assert_eq!(engine.state.battery.soc(), 0.0);
@@ -625,9 +606,6 @@ mod tests {
             order: Vec<Event>,
         }
         impl<S: TraceSink> Component<S> for TieProbe {
-            fn name(&self) -> &'static str {
-                "tie-probe"
-            }
             fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
                 ctx.schedule_at(5, Event::PolicyTick);
                 ctx.schedule_at(5, Event::Sample);
@@ -637,13 +615,14 @@ mod tests {
                 self.order.push(ev);
             }
         }
-        let mut engine: Engine<NoopSink> = Engine::new(Battery::new(10.0));
-        engine.add(Box::new(TieProbe { order: Vec::new() }));
-        engine.run(&mut NoopSink);
+        let mut engine = Engine::new(Battery::new(10.0));
+        let mut probe = TieProbe { order: Vec::new() };
+        engine.run(&mut probe, &mut NoopSink);
         // PolicyTick was scheduled first, so at the shared timestamp it
-        // dispatches first — deterministically.
-        let probe_events = engine.events_processed();
-        assert_eq!(probe_events, 3);
+        // dispatches first — deterministically. End stops the run
+        // without being dispatched.
+        assert_eq!(probe.order, [Event::PolicyTick, Event::Sample]);
+        assert_eq!(engine.events_processed(), 3);
     }
 
     #[test]
@@ -651,9 +630,6 @@ mod tests {
         /// Consumes 0.5 J as a single impulse at t = 1 s.
         struct Impulse;
         impl<S: TraceSink> Component<S> for Impulse {
-            fn name(&self) -> &'static str {
-                "impulse"
-            }
             fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
                 ctx.schedule_at(secs_to_us(1.0), Event::PolicyTick);
                 ctx.schedule_at(secs_to_us(2.0), Event::End);
@@ -666,9 +642,8 @@ mod tests {
         }
         let mut battery = Battery::new(10.0);
         battery.set_soc(0.5);
-        let mut engine: Engine<NoopSink> = Engine::new(battery);
-        engine.add(Box::new(Impulse));
-        engine.run(&mut NoopSink);
+        let mut engine = Engine::new(battery);
+        engine.run(&mut Impulse, &mut NoopSink);
         assert!((engine.state.consumed_j - 0.5).abs() < 1e-12);
         assert!((engine.state.battery.charge_j() - 4.5).abs() < 1e-12);
     }

@@ -1,7 +1,7 @@
 //! The fault-injection component and the brownout-safe degradation
 //! state machine.
 //!
-//! [`FaultComponent`] plays a pre-materialised [`FaultPlan`] back into
+//! `FaultComponent` plays a pre-materialised [`FaultPlan`] back into
 //! the engine: scheduled fault windows become [`Event::FaultStart`] /
 //! [`Event::FaultEnd`] pairs that flip the shared-state flags the other
 //! components react to (signal corruption for the sensor front end,
@@ -28,7 +28,7 @@
 use iw_fault::{mix, FaultKind, FaultPlan, SplitMix64};
 use iw_trace::TraceSink;
 
-use crate::engine::{secs_to_us, Component, DeviceState, Event, SimCtx};
+use crate::engine::{secs_to_us, DeviceState, Event, SimCtx};
 
 /// Stream-derivation constant for the fuel-gauge noise stream (keeps it
 /// decorrelated from the BLE-loss stream derived from the same plan
@@ -39,7 +39,7 @@ pub(crate) const GAUGE_STREAM: u64 = 0x6741_5547_4531; // "gAUGE1"
 pub(crate) const BLE_STREAM: u64 = 0x424c_4531; // "BLE1"
 
 /// Plays a [`FaultPlan`] and runs the brownout state machine.
-pub struct FaultComponent {
+pub(crate) struct FaultComponent {
     plan: FaultPlan,
     gauge_rng: SplitMix64,
     gauge_interval_us: u64,
@@ -143,14 +143,9 @@ impl FaultComponent {
             ctx.sink.instant(track, "resume", ctx.now_us);
         }
     }
-}
 
-impl<S: TraceSink> Component<S> for FaultComponent {
-    fn name(&self) -> &'static str {
-        "faults"
-    }
-
-    fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+    /// Schedules the first fault window and the gauge-noise stream.
+    pub(crate) fn start<S: TraceSink>(&self, ctx: &mut SimCtx<'_, S>) {
         if !self.plan.windows.is_empty() {
             ctx.schedule_at(
                 self.plan.windows[0].start_us,
@@ -164,7 +159,9 @@ impl<S: TraceSink> Component<S> for FaultComponent {
         }
     }
 
-    fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+    /// Sees every event before any other component: plays the fault
+    /// events it owns, then polls the brownout machine.
+    pub(crate) fn handle<S: TraceSink>(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
         match ev {
             Event::FaultStart { index } => {
                 self.apply_window(index, ctx);

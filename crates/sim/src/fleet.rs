@@ -1672,25 +1672,44 @@ mod tests {
         assert!(small_fleet(2).run().scenario.is_none());
     }
 
-    #[test]
-    fn traced_device_matches_untraced_run() {
-        let cfg = small_fleet(1);
-        let plain = cfg.run_device(3);
+    /// Runs device `index` of `cfg` with and without tracing and checks
+    /// that tracing never perturbs a decision.
+    fn assert_traced_matches_untraced(cfg: &FleetConfig, index: usize) -> DeviceResult {
+        let plain = cfg.run_device(index);
         let mut rec = iw_trace::Recorder::new();
-        let traced = cfg.run_device_traced(3, &mut rec);
-        // Tracing never perturbs decisions: identical detections,
-        // brownout history and reliability counters. Energy bookkeeping
-        // may differ by roundoff only (sample timestamps subdivide
-        // integration intervals), which is why traced runs stay off the
-        // aggregation path.
+        let traced = cfg.run_device_traced(index, &mut rec);
+        // Identical detections, brownout history, reliability and
+        // scenario counters. Energy bookkeeping may differ by roundoff
+        // only (sample timestamps subdivide integration intervals), which
+        // is why traced runs stay off the aggregation path.
         assert_eq!(plain.detections, traced.detections);
         assert_eq!(plain.browned_out, traced.browned_out);
         assert_eq!(plain.reliability, traced.reliability);
-        assert_eq!(plain.faults.total(), traced.faults.total());
+        assert_eq!(plain.faults, traced.faults);
+        assert_eq!(plain.contact_edges, traced.contact_edges);
+        assert_eq!(plain.contacts_missed, traced.contacts_missed);
         assert!((plain.final_soc - traced.final_soc).abs() < 1e-9);
         assert!((plain.stored_j - traced.stored_j).abs() < 1e-9);
-        // The trace itself is non-empty.
+        // The trace itself is non-empty, and the sampler added events.
         assert!(rec.track_count() >= 2);
+        assert!(traced.events > plain.events);
+        plain
+    }
+
+    #[test]
+    fn traced_device_matches_untraced_run() {
+        assert_traced_matches_untraced(&small_fleet(1), 3);
+        // Under harsh faults with a scenario attached and a 0.5 J cell,
+        // `Sample` events interleave with fault windows, contact scans
+        // and brownout episodes: the fault component must skip its
+        // brownout poll on them, or sampling would move a brownout.
+        let mut cfg = scenario_fleet(1);
+        cfg.faults = FaultProfile::Harsh;
+        cfg.battery = Battery::new(0.5);
+        let plain = assert_traced_matches_untraced(&cfg, 7);
+        assert!(plain.faults.total() > 0, "harsh plan injected nothing");
+        assert!(plain.reliability.brownouts > 0 && plain.reliability.recoveries > 0);
+        assert!(plain.contacts_observed > 0 && plain.contacts_missed > 0);
     }
 
     #[test]

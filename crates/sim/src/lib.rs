@@ -2,8 +2,8 @@
 //!
 //! The crate replaces the old fixed-timestep battery loop with an event
 //! engine ([`Engine`]): a monotonic [`SimClock`], a binary-heap event
-//! queue with deterministic (time, sequence) ordering, and a set of
-//! [`Component`]s that react to [`Event`]s. Power is piecewise constant
+//! queue with deterministic (time, sequence) ordering, and one root
+//! [`Component`] that reacts to [`Event`]s. Power is piecewise constant
 //! between events and integrated *exactly* over each interval, so the
 //! engine is both faster and more accurate than stepping a fixed `dt`.
 //!
@@ -11,8 +11,11 @@
 //! components: dual-source harvesting (`iw-harvest`), sensor acquisition
 //! windows, compute jobs dispatched through the `iw-kernels`
 //! machine/deployment registry, BLE sync bursts (`iw-nrf52`) and the
-//! detection policies in [`DetectionPolicy`]. Runs can stream into any
-//! `iw-trace` [`iw_trace::TraceSink`].
+//! detection policies in [`DetectionPolicy`]. The bracelet's component
+//! set is fixed, so the root routes each event statically: the fault
+//! component sees every event first, then the event goes to the
+//! component that owns it (the table is in the device module's docs).
+//! Runs can stream into any `iw-trace` [`iw_trace::TraceSink`].
 //!
 //! The fleet layer ([`FleetConfig`]) sweeps N devices × wearer subjects
 //! × environment profiles with deterministic per-device seeding. It is
@@ -23,14 +26,14 @@
 //! ([`FleetReport`]). The [`record`] module gives results a compact
 //! binary wire form for multi-process runs.
 //!
-//! The fault layer (crate `iw-fault`, replayed by [`FaultComponent`])
+//! The fault layer (crate `iw-fault`, replayed by the fault component)
 //! injects deterministic fault plans — electrode lead-off, motion
 //! artifacts, harvest occlusion, BLE sync loss, fuel-gauge noise — and
 //! runs the brownout / cold-start degradation state machine; reliability
 //! counters surface in [`DeviceReport`] and the fleet aggregates.
 //!
-//! The scenario layer (crate `iw-scenario`, played by
-//! [`BleScanComponent`]) compiles fleet-wide scripts — mobility-driven
+//! The scenario layer (crate `iw-scenario`, played by the BLE scan
+//! component) compiles fleet-wide scripts — mobility-driven
 //! contact windows, weather fronts, regional gateway outages, epidemic
 //! seeding — into per-device artifacts, so networked devices stay
 //! independently simulable; the fleet fold then runs a deterministic
@@ -45,13 +48,11 @@ mod fleet;
 pub mod record;
 
 pub use device::{
-    default_sleep_floor_w, BleScanComponent, BleSync, ComputeJob, DetectionCosts, DeviceConfig,
-    DeviceReport,
+    default_sleep_floor_w, BleSync, ComputeJob, DetectionCosts, DeviceConfig, DeviceReport,
 };
 pub use engine::{
     secs_to_us, Component, DeviceState, Engine, Event, LoadSlot, SimClock, SimCtx, Tracks, US_PER_S,
 };
-pub use faults::FaultComponent;
 pub use fleet::{
     fleet_snapshot, DeviceResult, DigestAccum, ExactSum, FleetAggregate, FleetConfig, FleetMetrics,
     FleetReport, PolicyAccum, PolicyStats, ScenarioTotals, SubjectProfile,

@@ -34,6 +34,21 @@ fn policy_search_rejects_zero_devices_and_threads() {
 }
 
 #[test]
+fn tables_rejects_unknown_ids() {
+    let tables = env!("CARGO_BIN_EXE_tables");
+    assert_rejected(tables, &["zz9"]);
+    assert_rejected(tables, &["t33"]);
+    // One typo among valid ids still rejects the whole run.
+    assert_rejected(tables, &["t1", "T2"]);
+    let out = run(tables, &["t9"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("valid ids: t1 t2 t3 t4 f3"), "{stderr}");
+    let out = run(tables, &["t1"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("Table I "));
+}
+
+#[test]
 fn fleet_tiny_valid_run_succeeds() {
     let out = run(
         env!("CARGO_BIN_EXE_fleet"),

@@ -4,9 +4,21 @@
 //! # Execution model
 //!
 //! Time is a monotone `u64` microsecond counter ([`SimClock`]). Components
-//! schedule [`Event`]s into a binary-heap queue; ties are broken by a
-//! scheduling sequence number, so a run is a deterministic function of the
-//! initial component state — independent of host thread count.
+//! schedule [`Event`]s into a queue that dispatches them in `(time,
+//! sequence)` order, where the sequence number counts scheduling calls, so
+//! a run is a deterministic function of the initial component state —
+//! independent of host thread count.
+//!
+//! The queue has two parts. A binary heap holds events due in the future.
+//! A FIFO *same-instant lane* holds every event scheduled for the current
+//! time (zero delay, such as the acquire→compute hand-offs), which then
+//! costs a deque push and pop instead of two heap sifts. The pop rule is:
+//! the heap top if it is due now, else the lane front, else the heap top
+//! (advancing the clock). This is exactly `(time, sequence)` order,
+//! because every event scheduled while the clock reads `t` for time `t`
+//! goes to the lane: a heap entry due at `t` was scheduled before the
+//! clock reached `t`, so its sequence number is lower than every lane
+//! entry's, and the lane itself is in scheduling order.
 //!
 //! The engine drives one *root* component. It hands every event to the
 //! root's [`Component::handle`], and the root routes it to the parts that
@@ -22,7 +34,7 @@
 //! exist where power actually changes.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use iw_fault::{FaultCounters, ReliabilityCounters};
 use iw_harvest::{Battery, TracePoint};
@@ -148,7 +160,40 @@ struct Scheduled {
     ev: Event,
 }
 
-type Queue = BinaryHeap<Reverse<Scheduled>>;
+/// The event queue: future events in a binary heap, events due at the
+/// current time in a FIFO lane (see the module docs for the pop rule).
+#[derive(Debug, Default)]
+struct Queue {
+    heap: BinaryHeap<Reverse<Scheduled>>,
+    lane: VecDeque<Event>,
+}
+
+impl Queue {
+    /// Queues `ev` for `t_us`, with the clock at `now_us`.
+    fn push(&mut self, now_us: u64, t_us: u64, seq: u64, ev: Event) {
+        if t_us == now_us {
+            self.lane.push_back(ev);
+        } else {
+            self.heap.push(Reverse(Scheduled { t_us, seq, ev }));
+        }
+    }
+
+    /// Removes the next event in `(time, sequence)` order, with the clock
+    /// at `now_us`.
+    fn pop(&mut self, now_us: u64) -> Option<(u64, Event)> {
+        let due_now = matches!(self.heap.peek(), Some(Reverse(top)) if top.t_us == now_us);
+        if !due_now {
+            if let Some(ev) = self.lane.pop_front() {
+                return Some((now_us, ev));
+            }
+        }
+        self.heap.pop().map(|Reverse(s)| (s.t_us, s.ev))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len() + self.lane.len()
+    }
+}
 
 /// Handle to one named battery-side load contribution (see
 /// [`DeviceState::register_load`]).
@@ -397,11 +442,7 @@ impl<S: TraceSink> SimCtx<'_, S> {
     /// Panics when `t_us` is in the past.
     pub fn schedule_at(&mut self, t_us: u64, ev: Event) {
         assert!(t_us >= self.now_us, "cannot schedule into the past");
-        self.queue.push(Reverse(Scheduled {
-            t_us,
-            seq: *self.seq,
-            ev,
-        }));
+        self.queue.push(self.now_us, t_us, *self.seq, ev);
         *self.seq += 1;
     }
 
@@ -458,7 +499,7 @@ impl Engine {
         Engine {
             state: DeviceState::new(battery),
             clock: SimClock::default(),
-            queue: Queue::new(),
+            queue: Queue::default(),
             seq: 0,
             events_processed: 0,
             queue_high_water: 0,
@@ -471,9 +512,10 @@ impl Engine {
         self.events_processed
     }
 
-    /// High-water mark of the event-queue depth across the run so far.
-    /// Components only push during dispatch (they cannot pop), so
-    /// sampling the depth after each dispatch captures the true peak.
+    /// High-water mark of the event-queue depth (heap and same-instant
+    /// lane together) across the run so far. Components only push during
+    /// dispatch (they cannot pop), so sampling the depth after each
+    /// dispatch captures the true peak.
     #[must_use]
     pub fn queue_high_water(&self) -> u64 {
         self.queue_high_water
@@ -486,8 +528,9 @@ impl Engine {
     }
 
     /// Runs `root` to completion: pops events in (time, sequence) order,
-    /// integrates the battery over each inter-event gap, and hands each
-    /// event to `root`. Returns the number of events processed.
+    /// integrates the battery over each inter-event gap (an event due at
+    /// the current time has no gap to integrate), and hands each event to
+    /// `root`. Returns the number of events processed.
     pub fn run<S: TraceSink>(&mut self, root: &mut impl Component<S>, sink: &mut S) -> u64 {
         let tracks = Tracks {
             device: sink.track("device", 1.0),
@@ -507,11 +550,13 @@ impl Engine {
             root.start(&mut ctx);
         }
         self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
-        while let Some(Reverse(scheduled)) = self.queue.pop() {
-            let dt_s = self.clock.advance_to(scheduled.t_us);
-            self.state.advance(dt_s);
+        while let Some((t_us, ev)) = self.queue.pop(self.clock.now_us()) {
+            if t_us != self.clock.now_us() {
+                let dt_s = self.clock.advance_to(t_us);
+                self.state.advance(dt_s);
+            }
             self.events_processed += 1;
-            if scheduled.ev == Event::End {
+            if ev == Event::End {
                 break;
             }
             let mut ctx = SimCtx {
@@ -523,7 +568,7 @@ impl Engine {
                 seq: &mut self.seq,
                 stopped: &mut stopped,
             };
-            root.handle(scheduled.ev, &mut ctx);
+            root.handle(ev, &mut ctx);
             self.queue_high_water = self.queue_high_water.max(self.queue.len() as u64);
             if stopped {
                 break;
@@ -547,6 +592,7 @@ impl std::fmt::Debug for Engine {
 mod tests {
     use super::*;
     use iw_trace::NoopSink;
+    use proptest::prelude::*;
 
     /// Draws a constant power for a fixed time, then stops the run.
     struct ConstantLoad {
@@ -623,6 +669,180 @@ mod tests {
         // without being dispatched.
         assert_eq!(probe.order, [Event::PolicyTick, Event::Sample]);
         assert_eq!(engine.events_processed(), 3);
+    }
+
+    /// Tags every event it schedules with its scheduling index (the
+    /// engine's sequence number) as a `FaultStart` payload and records
+    /// the dispatch order. Each dispatch schedules the next entry of
+    /// `children`: a list of delays, `None` scheduling `End` instead.
+    struct Script {
+        children: Vec<Vec<Option<u64>>>,
+        next_child: usize,
+        /// `(t_us, index, is_end)` of every scheduled event.
+        scheduled: Vec<(u64, usize, bool)>,
+        /// `(t_us, index)` of every dispatched event.
+        dispatched: Vec<(u64, usize)>,
+    }
+
+    impl Script {
+        fn new(children: Vec<Vec<Option<u64>>>) -> Script {
+            Script {
+                children,
+                next_child: 0,
+                scheduled: Vec::new(),
+                dispatched: Vec::new(),
+            }
+        }
+
+        fn schedule_next<S: TraceSink>(&mut self, ctx: &mut SimCtx<'_, S>) {
+            let Some(delays) = self.children.get(self.next_child) else {
+                return;
+            };
+            self.next_child += 1;
+            for &delay in delays {
+                let index = self.scheduled.len();
+                let t_us = ctx.now_us + delay.unwrap_or(0);
+                let ev = match delay {
+                    Some(_) => Event::FaultStart { index },
+                    None => Event::End,
+                };
+                self.scheduled.push((t_us, index, delay.is_none()));
+                ctx.schedule_at(t_us, ev);
+            }
+        }
+    }
+
+    impl<S: TraceSink> Component<S> for Script {
+        fn start(&mut self, ctx: &mut SimCtx<'_, S>) {
+            self.schedule_next(ctx);
+        }
+        fn handle(&mut self, ev: Event, ctx: &mut SimCtx<'_, S>) {
+            let Event::FaultStart { index } = ev else {
+                panic!("unexpected {ev:?}");
+            };
+            self.dispatched.push((ctx.now_us, index));
+            self.schedule_next(ctx);
+        }
+    }
+
+    /// Runs `children` as a [`Script`]; returns it and the engine.
+    fn run_script(children: Vec<Vec<Option<u64>>>) -> (Script, Engine) {
+        let mut engine = Engine::new(Battery::new(10.0));
+        let mut script = Script::new(children);
+        engine.run(&mut script, &mut NoopSink);
+        (script, engine)
+    }
+
+    #[test]
+    fn heap_event_due_now_precedes_a_new_zero_delay_event() {
+        // Start schedules #0 and #1 for t = 5. #0's handler schedules #2
+        // with zero delay while #1, the older event, still sits in the
+        // heap: #1 is earlier in (time, sequence) order and goes first.
+        let (script, _) = run_script(vec![vec![Some(5), Some(5)], vec![Some(0)]]);
+        assert_eq!(script.dispatched, [(5, 0), (5, 1), (5, 2)]);
+    }
+
+    #[test]
+    fn zero_delay_events_dispatch_fifo() {
+        // #0 fans out three zero-delay events; each of those schedules
+        // one more. All land in the lane and leave it in scheduling order.
+        let (script, _) = run_script(vec![
+            vec![Some(3)],
+            vec![Some(0), Some(0), Some(0)],
+            vec![Some(0)],
+            vec![Some(0)],
+            vec![Some(0)],
+        ]);
+        let order: Vec<usize> = script.dispatched.iter().map(|&(_, i)| i).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5, 6]);
+        assert!(script.dispatched.iter().all(|&(t, _)| t == 3));
+    }
+
+    #[test]
+    fn queue_high_water_counts_lane_entries() {
+        // One heap event, whose handler queues four zero-delay events at
+        // once: the peak depth is four, all of them in the lane.
+        let (_, engine) = run_script(vec![vec![Some(1)], vec![Some(0); 4]]);
+        assert_eq!(engine.queue_high_water(), 4);
+        assert_eq!(engine.events_processed(), 5);
+    }
+
+    /// Replays `children` on a plain `BinaryHeap<Reverse<(t, seq)>>`
+    /// queue: returns the dispatched `(t_us, index)` sequence and the
+    /// high-water mark, sampled where the engine samples it.
+    fn reference_model(children: &[Vec<Option<u64>>]) -> (Vec<(u64, usize)>, u64) {
+        // Entries are `(t_us, index, is_end)`; the index is unique, so
+        // `is_end` never takes part in the ordering.
+        let mut heap = BinaryHeap::new();
+        let mut seq = 0;
+        let mut schedule =
+            |now: u64, delays: Option<&Vec<Option<u64>>>, heap: &mut BinaryHeap<_>| {
+                for &delay in delays.into_iter().flatten() {
+                    heap.push(Reverse((now + delay.unwrap_or(0), seq, delay.is_none())));
+                    seq += 1;
+                }
+            };
+        let mut children = children.iter();
+        schedule(0, children.next(), &mut heap);
+        let mut high_water = heap.len() as u64;
+        let mut dispatched = Vec::new();
+        while let Some(Reverse((t, index, is_end))) = heap.pop() {
+            if is_end {
+                break;
+            }
+            dispatched.push((t, index));
+            schedule(t, children.next(), &mut heap);
+            high_water = high_water.max(heap.len() as u64);
+        }
+        (dispatched, high_water)
+    }
+
+    fn delay() -> impl Strategy<Value = Option<u64>> {
+        prop_oneof![
+            Just(Some(0)),
+            Just(Some(0)),
+            Just(Some(0)),
+            Just(Some(1)),
+            Just(Some(1)),
+            Just(Some(5)),
+            Just(Some(5)),
+            (0u64..20).prop_map(Some),
+            Just(None),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn lane_and_heap_dispatch_in_time_sequence_order(
+            children in prop::collection::vec(prop::collection::vec(delay(), 0..4), 1..40),
+        ) {
+            let (script, engine) = run_script(children.clone());
+            for pair in script.dispatched.windows(2) {
+                prop_assert!(pair[0] < pair[1], "out of order: {:?}", pair);
+            }
+            // Everything ordered before the first `End` is dispatched,
+            // and nothing after it.
+            let end = script
+                .scheduled
+                .iter()
+                .filter(|s| s.2)
+                .map(|&(t, i, _)| (t, i))
+                .min()
+                .unwrap_or((u64::MAX, usize::MAX));
+            let mut expected: Vec<(u64, usize)> = script
+                .scheduled
+                .iter()
+                .filter(|&&(t, i, is_end)| !is_end && (t, i) < end)
+                .map(|&(t, i, _)| (t, i))
+                .collect();
+            expected.sort_unstable();
+            prop_assert_eq!(&script.dispatched, &expected);
+            let (model_order, model_high_water) = reference_model(&children);
+            prop_assert_eq!(&script.dispatched, &model_order);
+            prop_assert_eq!(engine.queue_high_water(), model_high_water);
+        }
     }
 
     #[test]

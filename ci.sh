@@ -44,6 +44,13 @@ cargo run --release -q -p iw-bench --bin fleet -- --devices 64 --threads 8 --che
 # brownout state machine must not break thread-count invariance.
 cargo run --release -q -p iw-bench --bin fleet -- --devices 64 --faults harsh --check >/dev/null
 
+# Smoke: the work-claiming thread scheduler under uneven device costs —
+# harsh faults plus the epidemic scenario at an odd thread count, so
+# threads finish devices out of index order and the in-order fold must
+# still reproduce the single-thread digest.
+cargo run --release -q -p iw-bench --bin fleet -- \
+  --devices 96 --threads 3 --faults harsh --scenario epidemic --check >/dev/null
+
 # Smoke: the streaming coordinator/worker service — two worker processes
 # stream 4096 devices as binary record frames with heartbeat telemetry
 # interleaved, the coordinator re-folds every record, merges the shard

@@ -1024,10 +1024,24 @@ pub fn d5_fleet_config(
     candidate: &PolicyCandidate,
     jobs: [ComputeJob; 3],
 ) -> FleetConfig {
-    let mut cfg = d3_fleet_config(devices, threads, seed, FaultProfile::Harsh);
-    cfg.policies = vec![(candidate.name.clone(), candidate.spec)];
-    cfg.target_jobs = Some(jobs);
-    cfg
+    d5_candidate_config(
+        d3_fleet_config(devices, threads, seed, FaultProfile::Harsh),
+        candidate,
+        jobs,
+    )
+}
+
+/// Puts every device of the D3 harsh stress cell `base` on `candidate`.
+/// Split from [`d5_fleet_config`] so a search builds `base` (and runs
+/// its X2 budget ISS measurement) once, not once per candidate.
+fn d5_candidate_config(
+    mut base: FleetConfig,
+    candidate: &PolicyCandidate,
+    jobs: [ComputeJob; 3],
+) -> FleetConfig {
+    base.policies = vec![(candidate.name.clone(), candidate.spec)];
+    base.target_jobs = Some(jobs);
+    base
 }
 
 fn dominates(a: &PolicyOutcome, b: &PolicyOutcome) -> bool {
@@ -1054,10 +1068,11 @@ pub fn d5_policy_search(
     candidates: &[PolicyCandidate],
 ) -> Vec<PolicyOutcome> {
     let jobs = d5_target_jobs();
+    let base = d3_fleet_config(devices, threads, seed, FaultProfile::Harsh);
     let mut outcomes: Vec<PolicyOutcome> = candidates
         .iter()
         .map(|candidate| {
-            let report = d5_fleet_config(devices, threads, seed, candidate, jobs).run();
+            let report = d5_candidate_config(base.clone(), candidate, jobs).run();
             let stats = &report.policies[0];
             PolicyOutcome {
                 name: candidate.name.clone(),

@@ -162,6 +162,10 @@ struct Scheduled {
 
 /// The event queue: future events in a binary heap, events due at the
 /// current time in a FIFO lane (see the module docs for the pop rule).
+/// `push` and `pop` are `#[inline(always)]`: they run once per event,
+/// and without it their inlining into `Engine::run` hinges on how the
+/// compiler splits the crate into codegen units, which unrelated edits
+/// elsewhere in the crate shift.
 #[derive(Debug, Default)]
 struct Queue {
     heap: BinaryHeap<Reverse<Scheduled>>,
@@ -170,6 +174,7 @@ struct Queue {
 
 impl Queue {
     /// Queues `ev` for `t_us`, with the clock at `now_us`.
+    #[inline(always)]
     fn push(&mut self, now_us: u64, t_us: u64, seq: u64, ev: Event) {
         if t_us == now_us {
             self.lane.push_back(ev);
@@ -180,6 +185,7 @@ impl Queue {
 
     /// Removes the next event in `(time, sequence)` order, with the clock
     /// at `now_us`.
+    #[inline(always)]
     fn pop(&mut self, now_us: u64) -> Option<(u64, Event)> {
         let due_now = matches!(self.heap.peek(), Some(Reverse(top)) if top.t_us == now_us);
         if !due_now {

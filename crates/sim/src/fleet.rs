@@ -7,10 +7,12 @@
 //! Every device's configuration (environment, subject, policy, start
 //! state of charge, light-exposure jitter) is a pure function of the
 //! fleet seed and the device index — never of the worker thread or
-//! process it lands on. Workers own *contiguous* device-index ranges
-//! ([`FleetConfig::shard_range`]), fold each [`DeviceResult`] into a
-//! shard-local [`FleetAggregate`] the moment it is produced, and the
-//! shard aggregates are merged hierarchically in ascending shard order.
+//! process it lands on. Worker processes own *contiguous* device-index
+//! ranges ([`FleetConfig::shard_range`]); inside a shard, threads claim
+//! devices one at a time and the shard folds each [`DeviceResult`] into
+//! a shard-local [`FleetAggregate`] in ascending index order
+//! ([`FleetConfig::run_shard`]). The shard aggregates are merged
+//! hierarchically in ascending shard order.
 //! The merge is associative and order-fixed (see [`DigestAccum`]), so
 //! `--threads 1`, `--threads 8` and a 4-process coordinator/worker run
 //! must all produce the same [`FleetReport::digest`] — bit for bit — or
@@ -28,8 +30,10 @@
 //! therefore identical under any hierarchical merge tree — not just the
 //! digest but every reported mean is topology-invariant.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 use iw_fault::{mix, FaultCounters, FaultKind, FaultProfile, ReliabilityCounters};
 use iw_harvest::{Battery, EnvProfile};
@@ -1361,9 +1365,27 @@ impl FleetConfig {
         agg
     }
 
-    /// Runs shard `shard` of `of` on [`Self::threads`] worker threads
-    /// (each thread folds a contiguous sub-chunk; chunk aggregates merge
-    /// in index order) and returns the shard aggregate.
+    /// Runs shard `shard` of `of` on [`Self::threads`] worker threads and
+    /// returns the shard aggregate.
+    ///
+    /// Work claiming: each thread repeatedly takes the next unclaimed
+    /// device index of the shard from one shared counter, runs it, and
+    /// sends the [`DeviceResult`] back to the calling thread, so a thread
+    /// that drew cheap devices simply claims more of them instead of
+    /// idling behind a fixed chunk. The calling thread folds results
+    /// strictly in ascending index order — exactly the serial
+    /// [`Self::run_chunk_with`] fold, hence a bit-identical aggregate —
+    /// by parking early arrivals in a reorder buffer until every lower
+    /// index has been folded. The buffer holds only results that finished
+    /// while the lowest unfinished device was still running: the devices
+    /// the other `threads − 1` threads complete in that one device's run
+    /// time, a count set by the spread of device costs, not by the
+    /// shard's size.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a device panics (see [`Self::run_device`]); no partial
+    /// aggregate is returned.
     #[must_use]
     pub fn run_shard(&self, shard: usize, of: usize) -> FleetAggregate {
         let range = self.shard_range(shard, of);
@@ -1371,25 +1393,37 @@ impl FleetConfig {
         if parts <= 1 {
             return self.run_chunk_with(range, |_| {});
         }
-        let lo = range.start;
-        let n = range.len();
-        let chunks: Vec<FleetAggregate> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..parts)
-                .map(|p| {
-                    let chunk = (lo + n * p / parts)..(lo + n * (p + 1) / parts);
-                    scope.spawn(move || self.run_chunk_with(chunk, |_| {}))
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("fleet worker panicked"))
-                .collect()
-        });
-        let mut merged = FleetAggregate::new(self);
-        for chunk in chunks {
-            merged.merge(chunk);
-        }
-        merged
+        let next = AtomicUsize::new(range.start);
+        let (tx, rx) = mpsc::channel::<DeviceResult>();
+        std::thread::scope(|scope| {
+            for _ in 0..parts {
+                let (tx, next, end) = (tx.clone(), &next, range.end);
+                scope.spawn(move || loop {
+                    // Relaxed: the counter only hands out indices; results
+                    // reach the folding thread through the channel.
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    // A closed channel means the folding thread is gone.
+                    if index >= end || tx.send(self.run_device(index)).is_err() {
+                        break;
+                    }
+                });
+            }
+            // Only the workers' senders remain: the receive loop ends
+            // once every worker has exited.
+            drop(tx);
+            let mut agg = FleetAggregate::new(self);
+            let mut early = BTreeMap::new();
+            let mut want = range.start;
+            for result in rx {
+                early.insert(result.device, result);
+                while let Some(result) = early.remove(&want) {
+                    agg.fold(result);
+                    want += 1;
+                }
+            }
+            assert_eq!(want, range.end, "fleet worker panicked");
+            agg
+        })
     }
 
     /// Runs the whole sweep on [`Self::threads`] workers and finalises
@@ -1626,6 +1660,57 @@ mod tests {
             assert_eq!(report.digest, serial.digest, "{shards} shards");
             assert_eq!(report, serial, "{shards} shards");
         }
+    }
+
+    /// A fleet whose devices cost very different amounts: every third
+    /// device plays a full-day environment, the rest one-hour ones, so
+    /// work-claiming threads finish devices out of index order.
+    fn uneven_fleet(threads: usize) -> FleetConfig {
+        let mut cfg = small_fleet(threads);
+        let day = &mut cfg.environments[0].1;
+        let hour = day.clone();
+        day.segments.clear();
+        for _ in 0..24 {
+            day.segments.extend(hour.segments.iter().cloned());
+        }
+        cfg.faults = FaultProfile::Harsh;
+        cfg
+    }
+
+    #[test]
+    fn work_claiming_matches_the_serial_fold_field_for_field() {
+        let cfg = uneven_fleet(1);
+        let day = cfg.run_device(0).events;
+        let hour = cfg.run_device(1).events;
+        assert!(day > 10 * hour, "devices not uneven: {day} vs {hour}");
+        for (shard, of) in [(0, 1), (1, 3), (2, 3)] {
+            let serial = cfg.run_chunk_with(cfg.shard_range(shard, of), |_| {});
+            assert!(!serial.sample.is_empty());
+            for threads in [2, 3, 8] {
+                // Every field: digest, exact sums, histograms, sample.
+                let claimed = uneven_fleet(threads).run_shard(shard, of);
+                assert_eq!(claimed, serial, "{shard}/{of} × {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_devices_runs_each_device_once() {
+        let mut cfg = small_fleet(1);
+        cfg.devices = 3;
+        let serial = cfg.run_shard(0, 1);
+        cfg.threads = 16;
+        let claimed = cfg.run_shard(0, 1);
+        assert_eq!(claimed.device_count, 3);
+        assert_eq!(claimed, serial);
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet worker panicked")]
+    fn a_panicking_device_fails_the_threaded_shard() {
+        let mut cfg = small_fleet(2);
+        cfg.environments.clear();
+        let _ = cfg.run_shard(0, 1);
     }
 
     /// A dense one-hour scenario over the shortened small-fleet
